@@ -1,9 +1,19 @@
 """Buchberger engine, polynomial ideals, elimination, truncated comparisons.
 
-The basis computation is plain Buchberger with the normal selection
-strategy plus the coprime-lcm and chain criteria; bases are returned fully
-inter-reduced and monic, sorted by leading term, so the output is a
-canonical form depending only on the monomial order.
+This module holds the one Buchberger engine of truncas.  It works on
+free-module elements, sparse maps (component, exponent) -> coefficient,
+under a position-over-term order (``ModuleOrder``); ``modules`` builds
+zero-block intersections, syzygies and tag intersections on it.  A
+polynomial ideal is the rank-1 case: with one component the module order is
+just the monomial order, so ``buchberger`` embeds its generators in
+component 0 and reads the basis back as polynomials.
+
+The engine is plain Buchberger with the normal selection strategy and the
+chain criterion.  The coprime-lcm (product) criterion holds only when every
+input element lies in one component, which covers every ideal; for elements
+spread over several components it is false and is not applied.  Bases are
+returned fully inter-reduced and monic, sorted by leading term, so the
+output is a canonical form depending only on the order.
 
 ``truncated_completion_elimination`` deliberately avoids Groebner bases: it
 works on the finite-dimensional space spanned by truncated multiples of the
@@ -84,80 +94,120 @@ class GroebnerBasis:
         return len(self.elements)
 
 
-def _normal_form(f: Polynomial, basis, order) -> Polynomial:
+# ---------------------------------------------------------------------------
+# the engine: free-module elements under a position-over-term order
+
+
+def vec_to_elem(vec) -> dict:
+    elem = {}
+    for comp, poly in enumerate(vec):
+        for e, c in poly.terms.items():
+            elem[(comp, e)] = c
+    return elem
+
+
+def elem_to_vec(elem: dict, ring: Ring, rank: int):
+    terms = [dict() for _ in range(rank)]
+    for (comp, e), c in elem.items():
+        terms[comp][e] = c
+    return [Polynomial(ring, t, clean=False) for t in terms]
+
+
+class ModuleOrder:
+    """Position-over-term: lower components dominate; ``order`` on monomials.
+
+    ``tag_index`` optionally names a variable whose presence dominates
+    everything, which is what tag-variable intersections eliminate.
+    """
+
+    def __init__(self, order=GREVLEX, tag_index=None):
+        self.order = order
+        self.tag_index = tag_index
+
+    def key(self, mono):
+        comp, e = mono
+        if self.tag_index is None:
+            return (-comp, self.order.key(e))
+        return (e[self.tag_index], -comp, self.order.key(e))
+
+
+def mod_leading(elem: dict, order: ModuleOrder):
+    if not elem:
+        raise TruncasError("zero module element has no leading term")
+    mono = max(elem, key=order.key)
+    return mono, elem[mono]
+
+
+def mod_normal_form(elem: dict, basis, order: ModuleOrder) -> dict:
+    """Remainder of ``elem`` on division by ``basis``.
+
+    The largest remaining term is cancelled against the first basis element
+    whose leading term divides it, or else moved to the remainder.
+    """
     if not basis:
-        return f
-    lts = [leading_term(g, order) for g in basis]
-    work = dict(f.terms)
+        return dict(elem)
+    lts = [mod_leading(g, order) for g in basis]
+    work = dict(elem)
     out = {}
     while work:
-        exp = max(work, key=order.key)
-        coeff = work.pop(exp)
-        reduced = False
-        for g, (lt_exp, lt_coeff) in zip(basis, lts):
-            if exp_divides(lt_exp, exp):
-                factor = coeff / lt_coeff
+        mono = max(work, key=order.key)
+        coeff = work.pop(mono)
+        comp, exp = mono
+        for g, ((lt_comp, lt_exp), lc) in zip(basis, lts):
+            if lt_comp == comp and exp_divides(lt_exp, exp):
+                factor = coeff / lc
                 shift = exp_sub(exp, lt_exp)
-                for e2, c2 in g.terms.items():
-                    e = exp_add(e2, shift)
-                    if e == exp:
+                for (c2, e2), v in g.items():
+                    key = (c2, exp_add(e2, shift))
+                    if key == mono:
                         continue
-                    cur = work.get(e)
-                    nxt = -factor * c2 if cur is None else cur - factor * c2
+                    cur = work.get(key)
+                    nxt = -factor * v if cur is None else cur - factor * v
                     if nxt:
-                        work[e] = nxt
+                        work[key] = nxt
                     elif cur is not None:
-                        del work[e]
-                reduced = True
+                        del work[key]
                 break
-        if not reduced:
-            out[exp] = coeff
-    return Polynomial(f.ring, out, clean=False)
+        else:
+            out[mono] = coeff
+    return out
 
 
-def _spoly(f: Polynomial, g: Polynomial, order) -> Polynomial:
-    (ef, cf) = leading_term(f, order)
-    (eg, cg) = leading_term(g, order)
-    lcm = exp_lcm(ef, eg)
-    mf = exp_sub(lcm, ef)
-    mg = exp_sub(lcm, eg)
-    ring = f.ring
-    one = ring.field.one
-    tf = Polynomial(ring, {mf: one / cf}, clean=False)
-    tg = Polynomial(ring, {mg: one / cg}, clean=False)
-    return tf * f - tg * g
+def module_buchberger(elements, order: ModuleOrder):
+    """Reduced Groebner basis of the submodule the elements generate.
 
+    Pairs are formed only between elements with equal leading components.
+    Each pair's selection key is computed once, when the pair is queued.
+    """
+    basis = [dict(e) for e in elements if e]
+    if not basis:
+        return []
+    single_component = len({comp for g in basis for comp, _ in g}) == 1
+    lts = [mod_leading(g, order)[0] for g in basis]
+    pending = {}  # pair -> selection key: smallest lcm first, ties by pair
 
-def buchberger(gens, order=None) -> GroebnerBasis:
-    """Reduced Groebner basis by Buchberger's algorithm."""
-    gens = [g for g in gens if not g.is_zero()]
-    if not gens:
-        return GroebnerBasis(order or GREVLEX, [])
-    ring = gens[0].ring
-    if order is None:
-        order = GREVLEX
-    basis = list(gens)
-    lts = [leading_term(g, order)[0] for g in basis]
-    pending = set()
-    for i in range(len(basis)):
-        for j in range(i):
-            pending.add((j, i))
+    def queue(new):
+        comp, e = lts[new]
+        for k in range(new):
+            if lts[k][0] == comp:
+                lcm = exp_lcm(lts[k][1], e)
+                pending[(k, new)] = (order.key((comp, lcm)), (k, new))
 
-    def lcm_of(i, j):
-        return exp_lcm(lts[i], lts[j])
+    for new in range(len(basis)):
+        queue(new)
 
     while pending:
-        # normal selection: smallest lcm in the monomial order
-        i, j = min(pending, key=lambda ij: (order.key(lcm_of(*ij)), ij))
-        pending.discard((i, j))
-        lcm = lcm_of(i, j)
-        if lcm == exp_add(lts[i], lts[j]):
+        i, j = min(pending, key=pending.__getitem__)
+        del pending[(i, j)]
+        (comp, ei), (_, ej) = lts[i], lts[j]
+        lcm = exp_lcm(ei, ej)
+        if single_component and lcm == exp_add(ei, ej):
             continue  # coprime leading terms
         chain = False
         for k in range(len(basis)):
-            if k in (i, j):
+            if k in (i, j) or lts[k][0] != comp:
                 continue
-            if not exp_divides(lts[k], lcm):
+            if not exp_divides(lts[k][1], lcm):
                 continue
             a = (min(i, k), max(i, k))
             b = (min(j, k), max(j, k))
@@ -166,39 +216,77 @@ def buchberger(gens, order=None) -> GroebnerBasis:
                 break
         if chain:
             continue
-        s = _normal_form(_spoly(basis[i], basis[j], order), basis, order)
-        if s.is_zero():
+        gi, gj = basis[i], basis[j]
+        lci, lcj = gi[lts[i]], gj[lts[j]]
+        si = exp_sub(lcm, ei)
+        sj = exp_sub(lcm, ej)
+        # s-vector: x^si gi / lc_i - x^sj gj / lc_j
+        s = {}
+        for (c, e), v in gi.items():
+            s[(c, exp_add(e, si))] = v / lci
+        for (c, e), v in gj.items():
+            key = (c, exp_add(e, sj))
+            val = v / lcj
+            cur = s.get(key)
+            nxt = -val if cur is None else cur - val
+            if nxt:
+                s[key] = nxt
+            elif cur is not None:
+                del s[key]
+        s = mod_normal_form(s, basis, order)
+        if not s:
             continue
         basis.append(s)
-        lts.append(leading_term(s, order)[0])
-        new = len(basis) - 1
-        for k in range(new):
-            pending.add((k, new))
+        lts.append(mod_leading(s, order)[0])
+        queue(len(basis) - 1)
 
-    return GroebnerBasis(order, _interreduce(basis, order))
+    return _mod_interreduce(basis, order)
 
 
-def _interreduce(basis, order):
-    basis = [g for g in basis if not g.is_zero()]
+def _mod_interreduce(basis, order: ModuleOrder):
+    basis = [g for g in basis if g]
     changed = True
     while changed:
         changed = False
         for idx in range(len(basis)):
             others = basis[:idx] + basis[idx + 1 :]
-            red = _normal_form(basis[idx], others, order)
-            if red.is_zero():
+            red = mod_normal_form(basis[idx], others, order)
+            if not red:
                 basis = others
                 changed = True
                 break
-            if red.terms != basis[idx].terms:
+            if red != basis[idx]:
                 basis[idx] = red
                 changed = True
-    monic = []
+    out = []
     for g in basis:
-        _, lc = leading_term(g, order)
-        monic.append(g.scale(g.ring.field.one / lc))
-    monic.sort(key=lambda g: order.key(leading_term(g, order)[0]))
-    return monic
+        _, lc = mod_leading(g, order)
+        out.append({k: c / lc for k, c in g.items()})
+    out.sort(key=lambda g: order.key(mod_leading(g, order)[0]))
+    return out
+
+
+# ---------------------------------------------------------------------------
+# polynomial ideals: the rank-1 case
+
+
+def _normal_form(f: Polynomial, basis, order) -> Polynomial:
+    """Normal form of a polynomial against a list of polynomials."""
+    elems = [vec_to_elem([g]) for g in basis]
+    nf = mod_normal_form(vec_to_elem([f]), elems, ModuleOrder(order))
+    return elem_to_vec(nf, f.ring, 1)[0]
+
+
+def buchberger(gens, order=None) -> GroebnerBasis:
+    """Reduced Groebner basis by Buchberger's algorithm."""
+    if order is None:
+        order = GREVLEX
+    gens = [g for g in gens if not g.is_zero()]
+    if not gens:
+        return GroebnerBasis(order, [])
+    ring = gens[0].ring
+    basis = module_buchberger([vec_to_elem([g]) for g in gens], ModuleOrder(order))
+    return GroebnerBasis(order, [elem_to_vec(g, ring, 1)[0] for g in basis])
 
 
 # ---------------------------------------------------------------------------
@@ -221,10 +309,6 @@ def eliminate_ideal(ideal: PolyIdeal, n_keep: int = None) -> PolyIdeal:
     sub = ring.restrict(n_keep)
     kept = [g.restrict_to(n_keep) for g in gb if g.support_within(n_keep)]
     return PolyIdeal(sub, kept)
-
-
-def ideal_contains(ideal: PolyIdeal, f: Polynomial) -> bool:
-    return buchberger(ideal.gens, GREVLEX).contains(f)
 
 
 def ideal_low_degree_space(ideal: PolyIdeal, c: int):
@@ -264,25 +348,29 @@ def ideals_equal(a: PolyIdeal, b: PolyIdeal) -> bool:
 # truncated membership spaces (exact linear algebra, no Groebner)
 
 
-def truncated_multiple_rows(gens, ring: Ring, cprime: int, rank_of):
-    """Rows spanning the truncations below cprime of all generator multiples."""
+def truncated_multiple_rows(gens, below: int, rank_of, labels=None):
+    """Rows spanning the truncations below degree ``below`` of all multiples.
+
+    ``gens`` are polynomials or series known to at least ``below``; zero
+    generators and empty rows are skipped.  When ``labels`` is a list, one
+    (generator index, multiplier exponent) pair is appended per row.
+    """
     rows = []
-    for g in gens:
-        if isinstance(g, TruncatedSeries) and g.known_order < cprime:
+    for gi, g in enumerate(gens):
+        if isinstance(g, TruncatedSeries) and g.known_order < below:
             raise TruncasError("generator not known to the working order")
-        val = g.valuation()
-        if val is None:
+        if g.is_zero():
             continue
-        if isinstance(g, TruncatedSeries):
-            val = 0 if g.is_zero() else val
-        for m in iter_exponents(ring.nvars, max(cprime - val, 0)):
+        for m in iter_exponents(g.ring.nvars, max(below - g.valuation(), 0)):
             md = total_degree(m)
             row = {}
             for e, coeff in g.terms.items():
-                if md + total_degree(e) < cprime:
+                if md + total_degree(e) < below:
                     row[rank_of[exp_add(m, e)]] = coeff
             if row:
                 rows.append(row)
+                if labels is not None:
+                    labels.append((gi, m))
     return rows
 
 
@@ -315,7 +403,7 @@ def truncated_completion_elimination(ideal: PolyIdeal, c: int, cprime: int):
         return total_degree(e) < c and all(x == 0 for x in e[nx:])
 
     rank_of, n_others, kept = subspace_column_ranks(ring, cprime, keep)
-    rows = truncated_multiple_rows(ideal.gens, ring, cprime, rank_of)
+    rows = truncated_multiple_rows(ideal.gens, cprime, rank_of)
     red = RowReducer(ring.field)
     for row in rows:
         red.add(row)
@@ -327,22 +415,3 @@ def truncated_completion_elimination(ideal: PolyIdeal, c: int, cprime: int):
             terms = {inv_rank[col][:nx]: v for col, v in red.pivots[pcol].items()}
             out.append(Polynomial(sub, terms, clean=False))
     return out
-
-
-def truncation_span_rows(polys, c: int, rank_of):
-    """Rows for the truncations below degree c of all multiples of polys."""
-    rows = []
-    for g in polys:
-        val = g.valuation()
-        if val is None:
-            continue
-        nvars = g.ring.nvars
-        for m in iter_exponents(nvars, max(c - val, 0)):
-            md = total_degree(m)
-            row = {}
-            for e, coeff in g.terms.items():
-                if md + total_degree(e) < c:
-                    row[rank_of[exp_add(m, e)]] = coeff
-            if row:
-                rows.append(row)
-    return rows

@@ -2,6 +2,12 @@
 syzygies, and vanishing-order shift functions.
 
 Free-module elements are sparse maps (component, exponent) -> coefficient.
+Their Groebner bases come from the one engine in ``groebner``
+(``module_buchberger``, ``mod_normal_form``, ``ModuleOrder``), of which a
+polynomial ideal is the rank-1 case.  The engine applies the coprime-lcm
+criterion only when every input element lies in one component; a module
+spread over several components gets the chain criterion alone.
+
 The position-over-term order puts lower component indices above everything
 else, so a reduced basis whose leading components sit past the first p
 positions consists of elements supported there entirely; those generate the
@@ -21,16 +27,22 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import TruncasError
-from .groebner import PolyIdeal, poly_sort_key
+from .groebner import (
+    ModuleOrder,
+    PolyIdeal,
+    buchberger,
+    elem_to_vec,
+    mod_normal_form,
+    module_buchberger,
+    poly_sort_key,
+    vec_to_elem,
+)
 from .linalg import intersect_spans, span_reducer
-from .orders import _grevlex_key
+from .orders import BlockOrder
 from .series import (
     Polynomial,
     Ring,
     exp_add,
-    exp_divides,
-    exp_lcm,
-    exp_sub,
     exponents_of_degree,
     iter_exponents,
     total_degree,
@@ -59,181 +71,6 @@ class PolyModule:
 
     def is_zero(self) -> bool:
         return not self.gens
-
-
-# ---------------------------------------------------------------------------
-# module elements as sparse (component, exponent) maps
-
-
-def vec_to_elem(vec) -> dict:
-    elem = {}
-    for comp, poly in enumerate(vec):
-        for e, c in poly.terms.items():
-            elem[(comp, e)] = c
-    return elem
-
-
-def elem_to_vec(elem: dict, ring: Ring, rank: int):
-    terms = [dict() for _ in range(rank)]
-    for (comp, e), c in elem.items():
-        terms[comp][e] = c
-    return [Polynomial(ring, t, clean=False) for t in terms]
-
-
-def _elem_sub_scaled(a: dict, b: dict, factor, shift) -> dict:
-    """a - factor * x^shift * b, in place on a copy of a."""
-    out = dict(a)
-    for (comp, e), c in b.items():
-        key = (comp, exp_add(e, shift))
-        val = factor * c
-        cur = out.get(key)
-        nxt = -val if cur is None else cur - val
-        if nxt:
-            out[key] = nxt
-        elif cur is not None:
-            del out[key]
-    return out
-
-
-class ModuleOrder:
-    """Position-over-term: lower components dominate; grevlex on monomials.
-
-    ``tag_index`` optionally names a variable whose presence dominates
-    everything, which is what tag-variable intersections eliminate.
-    """
-
-    def __init__(self, tag_index=None):
-        self.tag_index = tag_index
-
-    def key(self, mono):
-        comp, e = mono
-        if self.tag_index is None:
-            return (-comp, _grevlex_key(e))
-        return (e[self.tag_index], -comp, _grevlex_key(e))
-
-
-def mod_leading(elem: dict, order: ModuleOrder):
-    if not elem:
-        raise TruncasError("zero module element has no leading term")
-    mono = max(elem, key=order.key)
-    return mono, elem[mono]
-
-
-def _mod_divides(a, b) -> bool:
-    return a[0] == b[0] and exp_divides(a[1], b[1])
-
-
-def mod_normal_form(elem: dict, basis, order: ModuleOrder) -> dict:
-    if not basis:
-        return dict(elem)
-    lts = [mod_leading(g, order) for g in basis]
-    work = dict(elem)
-    out = {}
-    while work:
-        mono = max(work, key=order.key)
-        coeff = work.pop(mono)
-        reduced = False
-        for g, (lt, lc) in zip(basis, lts):
-            if _mod_divides(lt, mono):
-                shift = exp_sub(mono[1], lt[1])
-                work[mono] = coeff
-                nxt = _elem_sub_scaled(work, g, coeff / lc, shift)
-                nxt.pop(mono, None)
-                work = nxt
-                reduced = True
-                break
-        if not reduced:
-            out[mono] = coeff
-    return out
-
-
-def module_buchberger(elements, order: ModuleOrder):
-    """Reduced module Groebner basis; pairs only between equal components."""
-    basis = [dict(e) for e in elements if e]
-    if not basis:
-        return []
-    lts = [mod_leading(g, order)[0] for g in basis]
-    pending = set()
-    for i in range(len(basis)):
-        for j in range(i):
-            if lts[i][0] == lts[j][0]:
-                pending.add((j, i))
-
-    def lcm_exp(i, j):
-        return exp_lcm(lts[i][1], lts[j][1])
-
-    while pending:
-        i, j = min(
-            pending, key=lambda ij: (order.key((lts[ij[0]][0], lcm_exp(*ij))), ij)
-        )
-        pending.discard((i, j))
-        lcm = lcm_exp(i, j)
-        chain = False
-        for k in range(len(basis)):
-            if k in (i, j) or lts[k][0] != lts[i][0]:
-                continue
-            if not exp_divides(lts[k][1], lcm):
-                continue
-            a = (min(i, k), max(i, k))
-            b = (min(j, k), max(j, k))
-            if a not in pending and b not in pending:
-                chain = True
-                break
-        if chain:
-            continue
-        gi, gj = basis[i], basis[j]
-        (_, ei), lci = lts[i], gi[lts[i]]
-        (_, ej), lcj = lts[j], gj[lts[j]]
-        si = exp_sub(lcm, ei)
-        sj = exp_sub(lcm, ej)
-        # s-vector: x^si gi / lc_i - x^sj gj / lc_j
-        s = {}
-        for (comp, e), c in gi.items():
-            s[(comp, exp_add(e, si))] = c / lci
-        for (comp, e), c in gj.items():
-            key = (comp, exp_add(e, sj))
-            val = c / lcj
-            cur = s.get(key)
-            nxt = -val if cur is None else cur - val
-            if nxt:
-                s[key] = nxt
-            elif cur is not None:
-                del s[key]
-        s = mod_normal_form(s, basis, order)
-        if not s:
-            continue
-        basis.append(s)
-        lts.append(mod_leading(s, order)[0])
-        new = len(basis) - 1
-        for k in range(new):
-            if lts[k][0] == lts[new][0]:
-                pending.add((k, new))
-
-    return _mod_interreduce(basis, order)
-
-
-def _mod_interreduce(basis, order: ModuleOrder):
-    basis = [g for g in basis if g]
-    changed = True
-    while changed:
-        changed = False
-        for idx in range(len(basis)):
-            others = basis[:idx] + basis[idx + 1 :]
-            red = mod_normal_form(basis[idx], others, order)
-            if not red:
-                basis = others
-                changed = True
-                break
-            if red != basis[idx]:
-                basis[idx] = red
-                changed = True
-    out = []
-    for g in basis:
-        _, lc = mod_leading(g, order)
-        inv = (lc / lc) / lc
-        out.append({k: inv * c for k, c in g.items()})
-    out.sort(key=lambda g: order.key(mod_leading(g, order)[0]))
-    return out
 
 
 def module_contains(basis, order: ModuleOrder, elem: dict) -> bool:
@@ -397,12 +234,7 @@ def nagata_route_zero_block(M: PolyModule, p: int) -> PolyModule:
     nbase = ring.nvars
     nx = ring.nx if ring.nx is not None else nbase
     front = list(range(nx, nbase + p))  # trailing base block plus z variables
-    from .orders import BlockOrder
-
-    order = BlockOrder(front, big.nvars)
-    from .groebner import buchberger as _buch
-
-    gb = _buch(ideal.gens, order)
+    gb = buchberger(ideal.gens, BlockOrder(front, big.nvars))
     sub = ring.restrict(nx)
     out = []
     for g in gb:

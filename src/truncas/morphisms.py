@@ -30,7 +30,6 @@ from .groebner import (
     ideal_low_degree_space,
     subspace_column_ranks,
     truncated_multiple_rows,
-    truncation_span_rows,
 )
 from .linalg import RowReducer, spans_equal
 from .orders import GREVLEX, BlockOrder
@@ -38,7 +37,6 @@ from .series import (
     Polynomial,
     Ring,
     TruncatedSeries,
-    exp_add,
     iter_exponents,
     substitute,
     total_degree,
@@ -107,7 +105,7 @@ class AlgebraMorphism:
 
 def _membership_reducer(gens, ring: Ring, order: int):
     rank_of = {e: idx for idx, e in enumerate(iter_exponents(ring.nvars, order))}
-    rows = truncated_multiple_rows(gens, ring, order, rank_of)
+    rows = truncated_multiple_rows(gens, order, rank_of)
     red = RowReducer(ring.field)
     for row in rows:
         red.add(row)
@@ -202,14 +200,14 @@ def _candidate_space(phi: AlgebraMorphism, c: int, cprime: int):
 
     rank_of, n_others, kept = subspace_column_ranks(big, cprime, keep)
     gens = _graph_generators(phi, big, order=cprime)
-    rows = truncated_multiple_rows(gens, big, cprime, rank_of)
+    rows = truncated_multiple_rows(gens, cprime, rank_of)
     red = RowReducer(phi.field)
     # truncations of I first, so candidate representatives are reduced mod I
     i_rows = []
     if phi.I is not None:
         pad = (0,) * (big.nvars - n)
         pad_rank = {e: rank_of[e + pad] for e in iter_exponents(n, c)}
-        i_rows = truncation_span_rows(phi.I.gens, c, pad_rank)
+        i_rows = truncated_multiple_rows(phi.I.gens, c, pad_rank)
         for row in i_rows:
             red.add(row)
     for row in rows:
@@ -257,7 +255,7 @@ def truncated_completion_kernel(
         ]
         i_rows_local = []
         if phi.I is not None:
-            i_rows_local = truncation_span_rows(phi.I.gens, c, kept_rank)
+            i_rows_local = truncated_multiple_rows(phi.I.gens, c, kept_rank)
         spans.append(rows + i_rows_local)
         bases.append(basis)
         dims.append(len(basis))
@@ -279,19 +277,9 @@ def kernel_certificate(phi: AlgebraMorphism, f: Polynomial, cprime: int):
     gens = _graph_generators(phi, big, order=cprime)
     rank_of = {e: i for i, e in enumerate(iter_exponents(big.nvars, cprime))}
     red = RowReducer(phi.field, track_combinations=True)
-    row_monomials = []  # insertion order: (generator index, multiplier monomial)
-    for gi, g in enumerate(gens):
-        val = g.valuation()
-        if isinstance(g, TruncatedSeries) and g.is_zero():
-            val = 0
-        for m in iter_exponents(big.nvars, max(cprime - (val or 0), 0)):
-            md = total_degree(m)
-            row = {}
-            for e, coeff in g.terms.items():
-                if md + total_degree(e) < cprime:
-                    row[rank_of[exp_add(m, e)]] = coeff
-            row_monomials.append((gi, m))
-            red.add(row)
+    row_monomials = []  # per row: (generator index, multiplier monomial)
+    for row in truncated_multiple_rows(gens, cprime, rank_of, row_monomials):
+        red.add(row)
     target = {
         rank_of[e + (0,) * (big.nvars - n)]: coeff for e, coeff in f.terms.items()
     }
@@ -344,7 +332,7 @@ def check_strong_injectivity(
     ]
     i_rows = []
     if phi.I is not None:
-        i_rows = truncation_span_rows(phi.I.gens, c, kept_rank)
+        i_rows = truncated_multiple_rows(phi.I.gens, c, kept_rank)
     equal = spans_equal(cand_rows + i_rows, exact_rows + i_rows, phi.field)
     return InjectivityReport(
         c, report.cprimes, report.stabilized, equal, exact, report.candidate_basis
@@ -377,7 +365,7 @@ def preimage(phi: AlgebraMorphism, b, c: int):
 
     rank_of, n_others, kept = subspace_column_ranks(big, c, keep)
     gens = _graph_generators(phi, big, order=c)
-    rows = truncated_multiple_rows(gens, big, c, rank_of)
+    rows = truncated_multiple_rows(gens, c, rank_of)
     red = RowReducer(phi.field)
     for row in rows:
         red.add(row)

@@ -324,18 +324,6 @@ class Polynomial:
             out = out + term
         return out
 
-    def eval_at_point(self, values):
-        """Exact evaluation at a point given by field elements."""
-        field = self.ring.field
-        total = field.zero
-        for e, c in self.terms.items():
-            term = c
-            for i, k in enumerate(e):
-                if k:
-                    term = term * values[i] ** k
-            total = total + term
-        return total
-
     def __eq__(self, other):
         return (
             isinstance(other, Polynomial)

@@ -15,11 +15,10 @@ from truncas.groebner import (
     ideals_equal,
     leading_term,
     truncated_completion_elimination,
-    _spoly,
 )
 from truncas.linalg import spans_equal
 from truncas.orders import GREVLEX, LEX, BlockOrder
-from truncas.series import Polynomial, Ring, iter_exponents
+from truncas.series import Polynomial, Ring, exp_lcm, exp_sub, iter_exponents
 
 RXY = Ring(QQ, ("x1", "y"), nx=1)
 RX = Ring(QQ, ("x1",))
@@ -46,6 +45,16 @@ def test_buchberger_block_order_spoly():
     g = poly(RXY, {(0, 2): 1})
     gb = buchberger([f, g], BlockOrder([1], 2))
     assert any(p == poly(RXY, {(2, 0): 1}) for p in gb)
+
+
+def _spoly(f, g, order):
+    """Textbook S-polynomial lcm/lt(f) * f - lcm/lt(g) * g, for checking bases."""
+    (ef, cf), (eg, cg) = leading_term(f, order), leading_term(g, order)
+    lcm = exp_lcm(ef, eg)
+    one = f.ring.field.one
+    tf = Polynomial(f.ring, {exp_sub(lcm, ef): one / cf})
+    tg = Polynomial(g.ring, {exp_sub(lcm, eg): one / cg})
+    return tf * f - tg * g
 
 
 def test_buchberger_criterion_every_spair_reduces():

@@ -5,8 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from truncas.fields import QQ
-from truncas.groebner import PolyIdeal, eliminate_ideal, ideals_equal
+from truncas.fields import QQ, PrimeField
+from truncas.groebner import PolyIdeal, eliminate_ideal, ideals_equal, mod_leading
 from truncas.modules import (
     ModuleOrder,
     PolyModule,
@@ -36,6 +36,15 @@ def test_intersect_zero_block_forces_zero():
     # M = span{(y, x1)}: y a = 0 forces a = 0
     M = PolyModule(RXY, 2, [[RXY.variable(1), RXY.variable(0)]])
     assert module_intersect_zero_block(M, 1).is_zero()
+
+
+def test_intersect_zero_block_coprime_leads_across_components():
+    # lead terms x1*e0 and y*e0 are coprime, yet the s-vector (0, y) is no
+    # consequence of them: the product criterion must not fire for rank > 1
+    x, y = RXY.variable(0), RXY.variable(1)
+    one, zero = Polynomial.const(RXY, 1), Polynomial.zero(RXY)
+    M = PolyModule(RXY, 2, [[x, one], [y, zero]])
+    assert module_intersect_zero_block(M, 1).gens == [[y]]
 
 
 def test_intersect_zero_block_syzygy():
@@ -240,7 +249,7 @@ def test_module_buchberger_criterion_randomized():
     # every same-component s-vector of an emitted basis reduces to zero
     rng = random.Random(303)
     order = ModuleOrder()
-    from truncas.modules import mod_leading, mod_normal_form
+    from truncas.modules import mod_normal_form
     from truncas.series import exp_lcm as _lcm, exp_sub as _sub, exp_add as _add
 
     for trial in range(8):
@@ -326,3 +335,25 @@ def test_chevalley_p_zero_is_degenerate():
     M = PolyModule(RX, 1, [[RX.variable(0)]])
     for c in (1, 3):
         assert chevalley_beta(M, 0, c, "exact").beta == 0
+
+
+def test_module_routes_over_prime_field():
+    F7 = PrimeField(7)
+    R = Ring(F7, ("x1", "x2"))
+    a, b = R.variable(0), R.variable(1)
+    three = Polynomial.const(R, 3)
+    S = syzygies([[a, three * b]])
+    assert modules_equal(S, PolyModule(R, 2, [[three * b, -a]]))
+    A = PolyModule(R, 2, [[a, b], [b * b, three]])
+    B = PolyModule(R, 2, [[three * a, three * b], [a * b, a]])
+    meet = module_intersection(A, B)
+    assert not meet.is_zero()
+    assert modules_equal(module_intersection(A, A), A)
+    order = ModuleOrder()
+    gbs = [module_buchberger([vec_to_elem(v) for v in M.gens], order)
+           for M in (S, A, B, meet)]
+    for gb in gbs:
+        assert all(mod_leading(g, order)[1] == F7.one for g in gb)
+    for vec in meet.gens:
+        assert module_contains(gbs[1], order, vec_to_elem(vec))
+        assert module_contains(gbs[2], order, vec_to_elem(vec))
