@@ -4,6 +4,11 @@ Field elements support the usual operators, so polynomial and series code
 can stay field-agnostic.  Rational coefficients are plain ``Fraction``
 values; prime-field coefficients are small wrapper objects carrying their
 modulus.  No floating point appears anywhere.
+
+Inner loops may skip the element objects: every field has ``unwrap(c)``,
+the raw value (the ``Fraction`` itself for Q, the residue for F_p), and
+``wrap(v)``, which turns a sum of products of raw values back into a field
+element (identity for Q, reduction mod p for F_p).
 """
 
 from __future__ import annotations
@@ -13,18 +18,33 @@ from fractions import Fraction
 from .errors import TruncasError
 
 
+_MR_BASES = (2, 3, 5, 7)
+_MR_LIMIT = 3_215_031_751  # least strong pseudoprime to all of _MR_BASES
+
+
 def is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin, exact for n < 3,215,031,751 (covers p < 2**31)."""
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    if n >= _MR_LIMIT:
+        raise ValueError(f"is_prime is exact only below {_MR_LIMIT}, got {n}")
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
@@ -56,6 +76,16 @@ class Rationals:
         if isinstance(value, FpElement):
             raise TruncasError("cannot coerce a prime-field element into Q")
         return Fraction(value)
+
+    @staticmethod
+    def unwrap(c):
+        """Raw value for plain-number kernels: the ``Fraction`` itself."""
+        return c
+
+    @staticmethod
+    def wrap(v):
+        """Field element from a raw value computed by ``unwrap``-based arithmetic."""
+        return v
 
     def __eq__(self, other):
         return isinstance(other, Rationals)
@@ -122,10 +152,12 @@ class PrimeField:
     """The field F_p for a fixed prime p < 2**31."""
 
     def __init__(self, p: int):
-        if not isinstance(p, int) or not is_prime(p):
+        if not isinstance(p, int):
             raise TruncasError(f"modulus {p} is not prime")
         if p >= 2**31:
             raise TruncasError("prime modulus must be below 2**31")
+        if not is_prime(p):
+            raise TruncasError(f"modulus {p} is not prime")
         self.p = p
         self.characteristic = p
 
@@ -149,6 +181,15 @@ class PrimeField:
             den = FpElement(value.denominator, self.p)
             return num / den
         raise TruncasError(f"cannot coerce {value!r} into F_{self.p}")
+
+    @staticmethod
+    def unwrap(c) -> int:
+        """Raw value for plain-number kernels: the residue."""
+        return c.r
+
+    def wrap(self, v: int) -> FpElement:
+        """Field element from any integer combination of residues; reduces mod p."""
+        return FpElement(v, self.p)
 
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p

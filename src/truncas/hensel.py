@@ -111,7 +111,13 @@ def lift_with_steps(code: HenselCode, c: int):
         cand = TruncatedSeries(ring, f.terms, target)
         num = _eval_at(code, F, cand)
         den = _eval_at(code, Fu, cand)
-        corr = num * den.invert()
+        # num = F(cand) has no term below its valuation v >= the previous
+        # order, so below target num * den^-1 needs den^-1 only below
+        # target - v: half precision (von zur Gathen & Gerhard, Modern
+        # Computer Algebra, section 9), a quarter of the work for one
+        # variable.  The product's terms and known_order are unchanged.
+        inv = den.truncate(max(1, target - num.valuation())).invert()
+        corr = num * inv
         f = TruncatedSeries(ring, (cand - corr).terms, target)
         steps += 1
     code._cache = f

@@ -129,13 +129,7 @@ def module_intersection(A: PolyModule, B: PolyModule) -> PolyModule:
         for comp, poly in enumerate(vec):
             for e, c in poly.terms.items():
                 elem[(comp, e + (0,))] = c
-                key = (comp, e + (1,))
-                cur = elem.get(key)
-                nxt = -c if cur is None else cur - c
-                if nxt:
-                    elem[key] = nxt
-                elif cur is not None:
-                    del elem[key]
+                elem[(comp, e + (1,))] = -c
         elems.append(elem)
     order = ModuleOrder(tag_index=tidx)
     gb = module_buchberger(elems, order)

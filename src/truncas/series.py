@@ -14,12 +14,23 @@ precision the inputs cannot certify.
 
 Canonical term order for printing and iteration is graded, then by
 declaration-order variable precedence inside each degree (x1 before x2).
+
+Series multiplication and inversion share one graded raw-coefficient
+kernel.  Each operand's terms are grouped by total degree into sorted
+``(degree, [(exponent, raw coeff)])`` lists that hold only the degrees
+present, so a product visits only degree pairs that land below its order
+and stops at the first pair that reaches it.  Inner loops add plain
+numbers: the field's ``unwrap`` gives the raw value of an element (the
+``Fraction`` for Q, the residue for F_p) and ``wrap`` turns each output sum
+back into a field element once (identity for Q, reduction mod p for F_p).
+No code branches on which field it is.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, le, sub
 
 from .errors import CompositionIllDefined, NonUnit, RingMismatch, TruncasError
 
@@ -34,19 +45,19 @@ def total_degree(exp: Exponent) -> int:
 
 
 def exp_add(a: Exponent, b: Exponent) -> Exponent:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def exp_sub(a: Exponent, b: Exponent) -> Exponent:
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(sub, a, b))
 
 
 def exp_divides(a: Exponent, b: Exponent) -> bool:
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def exp_lcm(a: Exponent, b: Exponent) -> Exponent:
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 def iter_exponents(nvars: int, below: int):
@@ -342,6 +353,29 @@ class Polynomial:
 # truncated series
 
 
+def _graded(terms, unwrap, below):
+    """Terms of degree < ``below`` as sorted ``(degree, [(exponent, raw coeff)])``.
+
+    Only degrees that hold a term appear.
+    """
+    by_degree = {}
+    for e, c in terms.items():
+        d = sum(e)
+        if d < below:
+            by_degree.setdefault(d, []).append((e, unwrap(c)))
+    return sorted(by_degree.items())
+
+
+def _wrapped(acc, wrap):
+    """Field elements of a raw-value accumulator, zeros dropped."""
+    out = {}
+    for e, v in acc.items():
+        c = wrap(v)
+        if c:
+            out[e] = c
+    return out
+
+
 class TruncatedSeries:
     """A power series known exactly below ``known_order`` total degree."""
 
@@ -427,21 +461,18 @@ class TruncatedSeries:
         order = min(
             self.known_order + other.valuation(), other.known_order + self.valuation()
         )
-        out = {}
-        for e1, c1 in self.terms.items():
-            d1 = total_degree(e1)
-            for e2, c2 in other.terms.items():
-                if d1 + total_degree(e2) >= order:
-                    continue
-                e = exp_add(e1, e2)
-                c = c1 * c2
-                s = out.get(e)
-                s = c if s is None else s + c
-                if s:
-                    out[e] = s
-                elif e in out:
-                    del out[e]
-        return TruncatedSeries(self.ring, out, order)
+        field = self.ring.field
+        acc = {}
+        right = _graded(other.terms, field.unwrap, order)
+        for d1, terms1 in _graded(self.terms, field.unwrap, order):
+            for d2, terms2 in right:
+                if d1 + d2 >= order:
+                    break
+                for e1, c1 in terms1:
+                    for e2, c2 in terms2:
+                        e = tuple(map(add, e1, e2))
+                        acc[e] = acc.get(e, 0) + c1 * c2
+        return TruncatedSeries(self.ring, _wrapped(acc, field.wrap), order)
 
     def scale(self, value) -> "TruncatedSeries":
         c0 = self.ring.field(value)
@@ -461,22 +492,27 @@ class TruncatedSeries:
         if not c0:
             raise NonUnit("cannot invert a series with zero constant term")
         field = self.ring.field
+        unwrap = field.unwrap
         order = self.known_order
         inv0 = field.one / c0
+        neg_inv0 = unwrap(-inv0)
         out = {self.ring.zero_exp(): inv0}
-        # degree-by-degree recurrence: g_e = -1/f0 * sum_{0 < d <= e} f_d g_{e-d}
-        nonconst = [(e, c) for e, c in self.terms.items() if total_degree(e) > 0]
+        # degree-by-degree recurrence: g_d = -1/f0 * sum_{0 < k <= d} f_k g_{d-k},
+        # where f_k, g_k are the degree-k parts; g_by_degree[k] holds g_k raw
+        nonconst = [(k, terms) for k, terms in _graded(self.terms, unwrap, order) if k]
+        g_by_degree = [[(self.ring.zero_exp(), unwrap(inv0))]]
         for d in range(1, order):
-            for e in exponents_of_degree(self.ring.nvars, d):
-                acc = None
-                for fe, fc in nonconst:
-                    if exp_divides(fe, e):
-                        g = out.get(exp_sub(e, fe))
-                        if g is not None:
-                            term = fc * g
-                            acc = term if acc is None else acc + term
-                if acc is not None and acc:
-                    out[e] = -inv0 * acc
+            acc = {}
+            for k, f_k in nonconst:
+                if k > d:
+                    break
+                for e1, c1 in f_k:
+                    for e2, c2 in g_by_degree[d - k]:
+                        e = tuple(map(add, e1, e2))
+                        acc[e] = acc.get(e, 0) + c1 * c2
+            g_d = _wrapped({e: neg_inv0 * v for e, v in acc.items()}, field.wrap)
+            out.update(g_d)
+            g_by_degree.append([(e, unwrap(c)) for e, c in g_d.items()])
         return TruncatedSeries(self.ring, out, order)
 
     def __eq__(self, other):

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from truncas.errors import InvalidCode, NotSimpleRoot
-from truncas.fields import QQ
+from truncas.fields import QQ, PrimeField
 from truncas.hensel import HenselCode, implicit_solve, lift, lift_with_steps, validate
 from truncas.series import Polynomial, Ring, TruncatedSeries, substitute, total_degree
 
@@ -149,3 +149,36 @@ def test_implicit_solve_rejects_non_simple_root():
     g = poly(ry.extend(("u",)), {(0, 2): 1, (1, 0): -1})  # u^2 - y1
     with pytest.raises(NotSimpleRoot):
         implicit_solve(g, 3)
+
+
+def _reference_lift(code, c):
+    """Newton iteration that inverts F_u(f) at the full doubled order each step."""
+    ring = code.ring
+    F = code.poly
+    Fu = F.derivative(code.unknown_index)
+    f = TruncatedSeries.const(ring, code.seed, 1)
+    steps = 0
+    while f.known_order < c:
+        target = min(2 * f.known_order, c)
+        cand = TruncatedSeries(ring, f.terms, target)
+        images = [ring.variable_series(i, target) for i in range(ring.nvars)] + [cand]
+        corr = substitute(F, images) * substitute(Fu, images).invert()
+        f = TruncatedSeries(ring, (cand - corr).terms, target)
+        steps += 1
+    return f, steps
+
+
+@pytest.mark.parametrize("field,nx,c", [(QQ, 2, 24), (PrimeField(2**31 - 1), 1, 64)])
+def test_cubic_lift_matches_full_precision_newton(field, nx, c):
+    # u^3 - 2u + 1 + (x terms), seed 1: F(0, 1) = 0 and F_u(0, 1) = 1
+    ring = Ring(field, ("x1", "x2")[:nx])
+    big = ring.extend(("u",))
+    z = (0,) * nx
+    terms = {z + (3,): 1, z + (1,): -2, z + (0,): 1}
+    for i in range(nx):
+        e = tuple(int(j == i) for j in range(nx))
+        terms[e + (0,)] = i - 1
+        terms[e + (2,)] = 2
+        terms[tuple(2 * k for k in e) + (1,)] = 3
+    code = HenselCode(ring, Polynomial(big, {e: field(v) for e, v in terms.items()}), 1)
+    assert lift_with_steps(code, c) == _reference_lift(code, c)

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from truncas.errors import CompositionIllDefined, NonUnit, RingMismatch, TruncasError
 from truncas.fields import QQ, PrimeField
@@ -11,6 +13,10 @@ from truncas.series import (
     Polynomial,
     Ring,
     TruncatedSeries,
+    exp_add,
+    exp_divides,
+    exp_lcm,
+    exp_sub,
     format_terms,
     iter_exponents,
     substitute,
@@ -274,3 +280,86 @@ def test_graded_slices_view():
     for sl in slices:
         merged.update(sl)
     assert merged == f.terms
+
+
+# ---------------------------------------------------------------------------
+# graded raw-coefficient kernel against textbook oracles
+
+
+def _pairwise_mul(f, g):
+    """Textbook product: every term pair, kept when it lands below the order."""
+    order = min(f.known_order + g.valuation(), g.known_order + f.valuation())
+    out = {}
+    for e1, c1 in f.terms.items():
+        for e2, c2 in g.terms.items():
+            if total_degree(e1) + total_degree(e2) >= order:
+                continue
+            e = tuple(x + y for x, y in zip(e1, e2))
+            s = out.get(e)
+            s = c1 * c2 if s is None else s + c1 * c2
+            if s:
+                out[e] = s
+            elif e in out:
+                del out[e]
+    return TruncatedSeries(f.ring, out, order)
+
+
+KERNEL_SETTINGS = settings(max_examples=100, deadline=None, derandomize=True, database=None)
+F7 = PrimeField(7)
+
+
+def _coefficients(field):
+    if field == QQ:
+        return st.fractions(min_value=-4, max_value=4, max_denominator=5)
+    return st.integers(0, 6).map(field)
+
+
+@st.composite
+def rings(draw):
+    field = draw(st.sampled_from([QQ, F7]))
+    n = draw(st.integers(1, 3))
+    return Ring(field, ("x1", "x2", "x3")[:n])
+
+
+@st.composite
+def series_in(draw, ring, unit=False):
+    """A sparse series with a drawn known_order and, unless ``unit``, valuation."""
+    order = draw(st.integers(1, 9))
+    exponents = st.tuples(*[st.integers(0, order - 1)] * ring.nvars)
+    terms = draw(st.dictionaries(exponents, _coefficients(ring.field), max_size=10))
+    if unit:
+        terms[ring.zero_exp()] = draw(_coefficients(ring.field).filter(bool))
+    else:
+        val = draw(st.integers(0, order))
+        terms = {e: c for e, c in terms.items() if total_degree(e) >= val}
+    return TruncatedSeries(ring, terms, order)
+
+
+@st.composite
+def series_pairs(draw):
+    ring = draw(rings())
+    return draw(series_in(ring)), draw(series_in(ring))
+
+
+@KERNEL_SETTINGS
+@given(series_pairs())
+def test_mul_matches_pairwise_oracle(pair):
+    f, g = pair
+    assert f * g == _pairwise_mul(f, g)
+
+
+@KERNEL_SETTINGS
+@given(rings().flatmap(lambda ring: series_in(ring, unit=True)))
+def test_invert_is_inverse_below_order(f):
+    assert f * f.invert() == TruncatedSeries.const(f.ring, 1, f.known_order)
+
+
+@KERNEL_SETTINGS
+@given(st.integers(1, 4).flatmap(lambda n: st.lists(
+    st.tuples(*[st.integers(0, 9)] * n), min_size=2, max_size=2)))
+def test_exponent_helpers_match_elementwise_definitions(pair):
+    a, b = pair
+    assert exp_add(a, b) == tuple(x + y for x, y in zip(a, b))
+    assert exp_sub(a, b) == tuple(x - y for x, y in zip(a, b))
+    assert exp_divides(a, b) == all(x <= y for x, y in zip(a, b))
+    assert exp_lcm(a, b) == tuple(max(x, y) for x, y in zip(a, b))
