@@ -9,11 +9,27 @@ Inner loops may skip the element objects: every field has ``unwrap(c)``,
 the raw value (the ``Fraction`` itself for Q, the residue for F_p), and
 ``wrap(v)``, which turns a sum of products of raw values back into a field
 element (identity for Q, reduction mod p for F_p).
+
+Row reduction keeps each row as integer numerators over one common row
+denominator, so its inner loops do plain ``int`` arithmetic in every field.
+Three row hooks sit next to ``unwrap``/``wrap``:
+
+- ``scale_row(row, rhs)`` -> ``(den, nums, rhs_num)``: the row in.  Over Q
+  ``den`` is the lcm of the denominators; over F_p the numerators are the
+  residues and ``den`` is 1.
+- ``canonical_row(den, nums, rhs, combo)``: the unique representative of
+  the row's values, with zero entries dropped.  Over Q the content gcd of
+  ``den`` and every numerator is divided out and ``den > 0``; over F_p
+  everything is multiplied by ``den^-1 mod p``, reduced, and ``den`` is 1.
+  ``combo`` is a dict of numerators sharing ``den``, or None.
+- ``unscale(num, den)``: one field element out of a canonical row,
+  ``Fraction(num, den)`` over Q and ``wrap(num)`` over F_p.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 from .errors import TruncasError
 
@@ -86,6 +102,32 @@ class Rationals:
     def wrap(v):
         """Field element from a raw value computed by ``unwrap``-based arithmetic."""
         return v
+
+    @staticmethod
+    def scale_row(row, rhs):
+        """(den, integer numerators, rhs numerator) with den the lcm of the denominators."""
+        # the slots behind Fraction's numerator/denominator properties, read directly
+        den = lcm(rhs._denominator, *[v._denominator for v in row.values()])
+        if den == 1:
+            return 1, {c: v._numerator for c, v in row.items()}, rhs._numerator
+        nums = {c: v._numerator * (den // v._denominator) for c, v in row.items()}
+        return den, nums, rhs._numerator * (den // rhs._denominator)
+
+    @staticmethod
+    def canonical_row(den, nums, rhs, combo):
+        """Zeros dropped, content gcd divided out, den > 0."""
+        g = gcd(den, rhs, *nums.values(), *(combo.values() if combo else ()))
+        if den < 0:
+            g = -g
+        if g != 1 or 0 in nums.values():
+            nums = {c: v // g for c, v in nums.items() if v}
+        if combo is not None and (g != 1 or 0 in combo.values()):
+            combo = {i: v // g for i, v in combo.items() if v}
+        return den // g, nums, rhs // g, combo
+
+    @staticmethod
+    def unscale(num, den) -> Fraction:
+        return Fraction(num, den)
 
     def __eq__(self, other):
         return isinstance(other, Rationals)
@@ -190,6 +232,23 @@ class PrimeField:
     def wrap(self, v: int) -> FpElement:
         """Field element from any integer combination of residues; reduces mod p."""
         return FpElement(v, self.p)
+
+    @staticmethod
+    def scale_row(row, rhs):
+        """(1, residues, rhs residue)."""
+        return 1, {c: v.r for c, v in row.items()}, rhs.r
+
+    def canonical_row(self, den, nums, rhs, combo):
+        """Everything times den^-1, reduced mod p, zeros dropped; den becomes 1."""
+        p = self.p
+        inv = pow(den, -1, p)
+        nums = {c: r for c, v in nums.items() if (r := v * inv % p)}
+        if combo is not None:
+            combo = {i: r for i, v in combo.items() if (r := v * inv % p)}
+        return 1, nums, rhs * inv % p, combo
+
+    def unscale(self, num, den) -> FpElement:
+        return FpElement(num, self.p)
 
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p

@@ -75,14 +75,21 @@ class PolyIdeal:
 
 
 class GroebnerBasis:
-    """A reduced Groebner basis with normal-form reduction."""
+    """A reduced Groebner basis with normal-form reduction.
+
+    The elements are embedded as rank-1 module elements, with their leading
+    monomials, once at construction; every normal form reuses them.
+    """
 
     def __init__(self, order, elements):
         self.order = order
         self.elements = list(elements)
+        self.module_order = ModuleOrder(order)
+        self.embedded = [vec_to_elem([g]) for g in self.elements]
+        self.lts = [mod_leading(g, self.module_order)[0] for g in self.embedded]
 
     def normal_form(self, f: Polynomial) -> Polynomial:
-        return _normal_form(f, self.elements, self.order)
+        return _normal_form(f, self)
 
     def contains(self, f: Polynomial) -> bool:
         return self.normal_form(f).is_zero()
@@ -138,24 +145,27 @@ def mod_leading(elem: dict, order: ModuleOrder):
     return mono, elem[mono]
 
 
-def mod_normal_form(elem: dict, basis, order: ModuleOrder) -> dict:
+def mod_normal_form(elem: dict, basis, order: ModuleOrder, lts=None) -> dict:
     """Remainder of ``elem`` on division by ``basis``.
 
     The largest remaining term is cancelled against the first basis element
-    whose leading term divides it, or else moved to the remainder.
+    whose leading term divides it, or else moved to the remainder.  ``lts``,
+    when the caller holds them, are the basis elements' leading monomials.
     """
     if not basis:
         return dict(elem)
-    lts = [mod_leading(g, order) for g in basis]
+    if lts is None:
+        lts = [mod_leading(g, order)[0] for g in basis]
     work = dict(elem)
     out = {}
     while work:
         mono = max(work, key=order.key)
         coeff = work.pop(mono)
         comp, exp = mono
-        for g, ((lt_comp, lt_exp), lc) in zip(basis, lts):
+        for g, lt in zip(basis, lts):
+            lt_comp, lt_exp = lt
             if lt_comp == comp and exp_divides(lt_exp, exp):
-                factor = coeff / lc
+                factor = coeff / g[lt]
                 shift = exp_sub(exp, lt_exp)
                 for (c2, e2), v in g.items():
                     key = (c2, exp_add(e2, shift))
@@ -233,47 +243,44 @@ def module_buchberger(elements, order: ModuleOrder):
                 s[key] = nxt
             elif cur is not None:
                 del s[key]
-        s = mod_normal_form(s, basis, order)
+        s = mod_normal_form(s, basis, order, lts)
         if not s:
             continue
         basis.append(s)
         lts.append(mod_leading(s, order)[0])
         queue(len(basis) - 1)
 
-    return _mod_interreduce(basis, order)
+    return _mod_interreduce(basis, order, lts)
 
 
-def _mod_interreduce(basis, order: ModuleOrder):
-    basis = [g for g in basis if g]
+def _mod_interreduce(basis, order: ModuleOrder, lts):
+    """Inter-reduced, monic, sorted basis; ``lts`` are the elements' leading monomials."""
     changed = True
     while changed:
         changed = False
         for idx in range(len(basis)):
             others = basis[:idx] + basis[idx + 1 :]
-            red = mod_normal_form(basis[idx], others, order)
+            other_lts = lts[:idx] + lts[idx + 1 :]
+            red = mod_normal_form(basis[idx], others, order, other_lts)
             if not red:
-                basis = others
+                basis, lts = others, other_lts
                 changed = True
                 break
             if red != basis[idx]:
                 basis[idx] = red
+                lts[idx] = mod_leading(red, order)[0]
                 changed = True
-    out = []
-    for g in basis:
-        _, lc = mod_leading(g, order)
-        out.append({k: c / lc for k, c in g.items()})
-    out.sort(key=lambda g: order.key(mod_leading(g, order)[0]))
-    return out
+    pairs = sorted(zip(basis, lts), key=lambda pair: order.key(pair[1]))
+    return [{k: c / g[lt] for k, c in g.items()} for g, lt in pairs]
 
 
 # ---------------------------------------------------------------------------
 # polynomial ideals: the rank-1 case
 
 
-def _normal_form(f: Polynomial, basis, order) -> Polynomial:
-    """Normal form of a polynomial against a list of polynomials."""
-    elems = [vec_to_elem([g]) for g in basis]
-    nf = mod_normal_form(vec_to_elem([f]), elems, ModuleOrder(order))
+def _normal_form(f: Polynomial, gb: GroebnerBasis) -> Polynomial:
+    """Normal form of a polynomial against a Groebner basis."""
+    nf = mod_normal_form(vec_to_elem([f]), gb.embedded, gb.module_order, gb.lts)
     return elem_to_vec(nf, f.ring, 1)[0]
 
 
@@ -412,6 +419,6 @@ def truncated_completion_elimination(ideal: PolyIdeal, c: int, cprime: int):
     out = []
     for pcol in sorted(red.pivots):
         if pcol >= n_others:
-            terms = {inv_rank[col][:nx]: v for col, v in red.pivots[pcol].items()}
+            terms = {inv_rank[col][:nx]: v for col, v in red.row(pcol).items()}
             out.append(Polynomial(sub, terms, clean=False))
     return out

@@ -370,7 +370,7 @@ def _chevalley_truncated(M: PolyModule, p: int, t: int, c: int, D: int) -> Cheva
     # truncated front-zero part: members of the M-span supported on the back block
     n_rows = []
     for pcol in sorted(m_red.pivots):
-        row = m_red.pivots[pcol]
+        row = m_red.row(pcol)
         if back_only.member(row):
             n_rows.append(row)
     # reported 0 only when the whole truncated span sits in its front-zero part

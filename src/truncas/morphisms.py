@@ -219,7 +219,7 @@ def _candidate_space(phi: AlgebraMorphism, c: int, cprime: int):
     for row in i_rows:
         i_red.add(row)
     for pcol in pivots_in_keep:
-        row = red.pivots[pcol]
+        row = red.row(pcol)
         if i_red.member(row):
             continue  # already a truncation of I
         terms = {inv_rank[col][:n]: v for col, v in row.items()}

@@ -153,3 +153,133 @@ def residual_free(T, b, vec, c):
         if any(total_degree(e) < c for e in acc.terms):
             return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# textbook incremental RREF on field elements
+
+
+class FieldRowReducer:
+    """Incremental reduced row echelon form on field elements, one entry at a time.
+
+    Same pivot rule (lowest column), same back-elimination order and same
+    statuses as ``truncas.linalg.RowReducer``, but every entry is a field
+    element and every operation is the field's own, so the package's
+    integer-scaled rows can be checked against it value for value.
+    """
+
+    def __init__(self, field, track_combinations=False):
+        self.field = field
+        self.pivots = {}  # pivot col -> row dict, pivot coefficient 1
+        self.rhs = {}
+        self.col_usage = {}  # col -> set of pivot cols whose rows touch it
+        self.track = track_combinations
+        self.combos = {}
+        self.n_inserted = 0
+
+    @property
+    def rank(self):
+        return len(self.pivots)
+
+    def reduce(self, row, rhs=None, combo=None):
+        row = dict(row)
+        if rhs is None:
+            rhs = self.field.zero
+        while True:
+            hit = None
+            for col in row:
+                if col in self.pivots and (hit is None or col < hit):
+                    hit = col
+            if hit is None:
+                return row, rhs, combo
+            factor = row[hit]
+            for col, val in self.pivots[hit].items():
+                cur = row.get(col)
+                nxt = -factor * val if cur is None else cur - factor * val
+                if nxt:
+                    row[col] = nxt
+                elif cur is not None:
+                    del row[col]
+            rhs = rhs - factor * self.rhs[hit]
+            if combo is not None:
+                for idx, val in self.combos[hit].items():
+                    cur = combo.get(idx)
+                    nxt = -factor * val if cur is None else cur - factor * val
+                    if nxt:
+                        combo[idx] = nxt
+                    elif cur is not None:
+                        del combo[idx]
+
+    def add(self, row, rhs=None):
+        if rhs is None:
+            rhs = self.field.zero
+        combo = {self.n_inserted: self.field.one} if self.track else None
+        self.n_inserted += 1
+        row, rhs, combo = self.reduce(row, rhs, combo)
+        if not row:
+            return "dependent" if not rhs else "inconsistent"
+        pivot = min(row)
+        inv = self.field.one / row[pivot]
+        row = {c: inv * v for c, v in row.items()}
+        rhs = inv * rhs
+        if combo is not None:
+            combo = {i: inv * v for i, v in combo.items()}
+        for pcol in sorted(self.col_usage.get(pivot, ())):
+            prow = self.pivots[pcol]
+            factor = prow.get(pivot)
+            if not factor:
+                continue
+            for col, val in row.items():
+                cur = prow.get(col)
+                nxt = -factor * val if cur is None else cur - factor * val
+                if nxt:
+                    prow[col] = nxt
+                    self.col_usage.setdefault(col, set()).add(pcol)
+                elif cur is not None:
+                    del prow[col]
+                    self.col_usage[col].discard(pcol)
+            self.rhs[pcol] = self.rhs[pcol] - factor * rhs
+            if combo is not None:
+                pc = self.combos[pcol]
+                for idx, val in combo.items():
+                    cur = pc.get(idx)
+                    nxt = -factor * val if cur is None else cur - factor * val
+                    if nxt:
+                        pc[idx] = nxt
+                    elif cur is not None:
+                        del pc[idx]
+        self.pivots[pivot] = row
+        self.rhs[pivot] = rhs
+        if combo is not None:
+            self.combos[pivot] = combo
+        for col in row:
+            self.col_usage.setdefault(col, set()).add(pivot)
+        return "pivot"
+
+    def member(self, row):
+        return not self.reduce(row)[0]
+
+    def express(self, row):
+        reduced, _, combo = self.reduce(row, None, {})
+        if reduced:
+            return None
+        return {i: -v for i, v in combo.items()}
+
+    def particular_solution(self):
+        return {col: self.rhs[col] for col in self.pivots if self.rhs[col]}
+
+    def nullspace_basis(self, all_columns):
+        basis = []
+        for free in all_columns:
+            if free in self.pivots:
+                continue
+            vec = {free: self.field.one}
+            for pcol in self.col_usage.get(free, ()):
+                coeff = self.pivots[pcol].get(free)
+                if coeff:
+                    vec[pcol] = -coeff
+            basis.append(vec)
+        return basis
+
+    def canonical_rows(self):
+        return [dict(self.pivots[c]) for c in sorted(self.pivots)]

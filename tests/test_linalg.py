@@ -1,10 +1,16 @@
-"""Row reducer against a dense textbook RREF, plus span utilities."""
+"""Row reducer against a dense textbook RREF and a field-element oracle, plus span utilities."""
 
 import random
 from fractions import Fraction
+from math import gcd
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from truncas.fields import QQ, PrimeField
 from truncas.linalg import RowReducer, intersect_spans, span_reducer, spans_equal
+
+from oracles import FieldRowReducer
 
 
 def dense_rref_rank_and_consistent(rows, rhs, ncols):
@@ -135,3 +141,77 @@ def test_prime_field_reduction():
     assert red.add({0: F5(4), 1: F5(2)}, F5(2)) == "inconsistent"
     part = red.particular_solution()
     assert part.get(0, F5(0)) * F5(2) + part.get(1, F5(0)) * F5(1) == F5(3)
+
+
+# ---------------------------------------------------------------------------
+# integer-scaled rows against the field-element oracle
+
+F7 = PrimeField(7)
+F_BIG = PrimeField(2**31 - 1)
+SCALED_SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def sparse_systems(draw):
+    """(field, ncols, rows, rhs, queries) with coefficients p/q, |p| <= 6, q <= 5."""
+    field = draw(st.sampled_from([QQ, F7, F_BIG]))
+    ncols = draw(st.integers(1, 8))
+    coeff = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 5)).map(field)
+
+    def rows(count):
+        out = []
+        for _ in range(count):
+            row = draw(st.dictionaries(st.integers(0, ncols - 1), coeff, max_size=ncols))
+            out.append({c: v for c, v in row.items() if v})
+        return out
+
+    rows_, queries = rows(draw(st.integers(1, 12))), rows(draw(st.integers(1, 4)))
+    rhs = [draw(coeff) for _ in rows_]
+    return field, ncols, rows_, rhs, queries
+
+
+def assert_canonical(red):
+    """Every stored row is the unique scaled form and ``col_usage`` is exact."""
+    usage = {}
+    for pcol, nums in red.pivots.items():
+        den = red.dens[pcol]
+        assert min(nums) == pcol and nums[pcol] == den and den > 0
+        assert not any(c in red.pivots for c in nums if c != pcol)
+        assert all(nums.values())
+        combo = red.combos.get(pcol, {})
+        assert all(combo.values())
+        if red.field == QQ:
+            assert gcd(den, red.rhs[pcol], *nums.values(), *combo.values()) == 1
+        else:
+            p = red.field.p
+            assert den == 1 and 0 <= red.rhs[pcol] < p
+            assert all(0 < v < p for v in [*nums.values(), *combo.values()])
+        for col in nums:
+            usage.setdefault(col, set()).add(pcol)
+    assert red.col_usage == usage
+
+
+@SCALED_SETTINGS
+@given(sparse_systems())
+def test_scaled_rows_match_field_oracle(system):
+    field, ncols, rows, rhs, queries = system
+    red = RowReducer(field, track_combinations=True)
+    oracle = FieldRowReducer(field, track_combinations=True)
+    for row, v in zip(rows, rhs):
+        assert red.add(row, v) == oracle.add(row, v)
+        assert_canonical(red)
+    assert red.canonical_rows() == oracle.canonical_rows()
+    assert red.particular_solution() == oracle.particular_solution()
+    assert red.nullspace_basis(range(ncols)) == oracle.nullspace_basis(range(ncols))
+    for q in queries + rows:
+        assert red.reduce(q, field.one) == oracle.reduce(q, field.one, {})
+        assert red.member(q) == oracle.member(q)
+        assert red.express(q) == oracle.express(q)
+    # without rhs and combinations; reduce returns None as its third item
+    plain, plain_oracle = span_reducer(rows, field), FieldRowReducer(field)
+    for row in rows:
+        plain_oracle.add(row)
+    assert_canonical(plain)
+    for q in queries:
+        assert plain.reduce(q) == plain_oracle.reduce(q)
+
