@@ -106,7 +106,8 @@ class Rationals:
     @staticmethod
     def scale_row(row, rhs):
         """(den, integer numerators, rhs numerator) with den the lcm of the denominators."""
-        # the slots behind Fraction's numerator/denominator properties, read directly
+        # Fraction's slots, not its properties: a property read is a Python call,
+        # which doubled this hook's time; row values over Q are always Fractions
         den = lcm(rhs._denominator, *[v._denominator for v in row.values()])
         if den == 1:
             return 1, {c: v._numerator for c, v in row.items()}, rhs._numerator
