@@ -12,11 +12,17 @@ element (identity for Q, reduction mod p for F_p).
 
 Row reduction keeps each row as integer numerators over one common row
 denominator, so its inner loops do plain ``int`` arithmetic in every field.
-Three row hooks sit next to ``unwrap``/``wrap``:
+Four row hooks sit next to ``unwrap``/``wrap``:
 
 - ``scale_row(row, rhs)`` -> ``(den, nums, rhs_num)``: the row in.  Over Q
   ``den`` is the lcm of the denominators; over F_p the numerators are the
   residues and ``den`` is 1.
+- ``cancel_factors(num, pden)`` -> ``(a, b)``: integers with
+  ``a * num == b * pden`` in the field, so ``a * row - b * prow`` cancels
+  the column where a row holds ``num`` and a stored row holds its pivot
+  numerator ``pden``.  Over Q ``num / pden`` in lowest terms, ``b / a``;
+  over F_p ``a`` is 1 and ``b`` is the residue of ``num``, so numerators
+  grow by additions only.
 - ``canonical_row(den, nums, rhs, combo)``: the unique representative of
   the row's values, with zero entries dropped.  Over Q the content gcd of
   ``den`` and every numerator is divided out and ``den > 0``; over F_p
@@ -113,6 +119,12 @@ class Rationals:
             return 1, {c: v._numerator for c, v in row.items()}, rhs._numerator
         nums = {c: v._numerator * (den // v._denominator) for c, v in row.items()}
         return den, nums, rhs._numerator * (den // rhs._denominator)
+
+    @staticmethod
+    def cancel_factors(num, pden):
+        """(pden, num) divided by their gcd."""
+        g = gcd(num, pden)
+        return pden // g, num // g
 
     @staticmethod
     def canonical_row(den, nums, rhs, combo):
@@ -238,6 +250,10 @@ class PrimeField:
     def scale_row(row, rhs):
         """(1, residues, rhs residue)."""
         return 1, {c: v.r for c, v in row.items()}, rhs.r
+
+    def cancel_factors(self, num, pden):
+        """(1, num mod p); stored rows have den 1."""
+        return 1, num % self.p
 
     def canonical_row(self, den, nums, rhs, combo):
         """Everything times den^-1, reduced mod p, zeros dropped; den becomes 1."""

@@ -25,6 +25,7 @@ against the exact elimination ideal is the point of keeping two routes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add
 
 from .errors import TruncasError
 from .linalg import RowReducer
@@ -38,6 +39,8 @@ from .series import (
     exp_divides,
     exp_lcm,
     exp_sub,
+    exponents_of_degree,
+    graded_terms,
     iter_exponents,
     total_degree,
 )
@@ -360,25 +363,30 @@ def truncated_multiple_rows(gens, below: int, rank_of, labels=None):
 
     ``gens`` are polynomials or series known to at least ``below``; zero
     generators and empty rows are skipped.  When ``labels`` is a list, one
-    (generator index, multiplier exponent) pair is appended per row.
+    (generator index, multiplier exponent) pair is appended per row.  Rows
+    come per generator, by multiplier in canonical order.  Each generator's
+    terms are grouped by total degree once, so a multiplier of degree ``md``
+    takes exactly the terms of degree < ``below - md``.
     """
     rows = []
     for gi, g in enumerate(gens):
         if isinstance(g, TruncatedSeries) and g.known_order < below:
             raise TruncasError("generator not known to the working order")
-        if g.is_zero():
+        graded = graded_terms(g.terms, _element, below)
+        if not graded:
             continue
-        for m in iter_exponents(g.ring.nvars, max(below - g.valuation(), 0)):
-            md = total_degree(m)
-            row = {}
-            for e, coeff in g.terms.items():
-                if md + total_degree(e) < below:
-                    row[rank_of[exp_add(m, e)]] = coeff
-            if row:
-                rows.append(row)
+        nvars = g.ring.nvars
+        for md in range(below - graded[0][0]):
+            low = [t for d, terms in graded if d < below - md for t in terms]
+            for m in exponents_of_degree(nvars, md):
+                rows.append({rank_of[tuple(map(add, m, e))]: c for e, c in low})
                 if labels is not None:
                     labels.append((gi, m))
     return rows
+
+
+def _element(c):
+    return c
 
 
 def subspace_column_ranks(ring: Ring, cprime: int, keep_pred):

@@ -209,18 +209,19 @@ def solve_nested(
     if obstruction is not None:
         return SolutionSet("unsolvable", obstruction, None, [], c)
 
-    part = red.particular_solution()
-    particular = _columns_to_vector(part, cols, rank_of, sys)
+    key_of = {rank: key for key, rank in rank_of.items()}
+    particular = _columns_to_vector(red.particular_solution(), key_of, sys)
     basis_vecs = red.nullspace_basis([rank_of[key] for key in cols])
-    nullspace = [_columns_to_vector(v, cols, rank_of, sys) for v in basis_vecs]
+    nullspace = [_columns_to_vector(v, key_of, sys) for v in basis_vecs]
     return SolutionSet("solvable", None, particular, nullspace, c)
 
 
-def _columns_to_vector(values, cols, rank_of, sys: NestedLinearSystem):
+def _columns_to_vector(values, key_of, sys: NestedLinearSystem):
+    """Series vector of a column-ranked solution; ``key_of`` maps rank to (i, exponent)."""
     terms = [dict() for _ in range(sys.m)]
-    for (i, full) in cols:
-        val = values.get(rank_of[(i, full)])
+    for col, val in values.items():
         if val:
+            i, full = key_of[col]
             terms[i][full] = val
     return [TruncatedSeries(sys.ring, t, sys.c) for t in terms]
 

@@ -30,6 +30,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
+from itertools import chain
 from operator import add, le, sub
 
 from .errors import CompositionIllDefined, NonUnit, RingMismatch, TruncasError
@@ -61,22 +63,24 @@ def exp_lcm(a: Exponent, b: Exponent) -> Exponent:
 
 
 def iter_exponents(nvars: int, below: int):
-    """Yield all exponent tuples of total degree < ``below``, canonically ordered."""
-    for d in range(below):
-        yield from exponents_of_degree(nvars, d)
+    """All exponent tuples of total degree < ``below``, canonically ordered."""
+    return chain.from_iterable(exponents_of_degree(nvars, d) for d in range(below))
 
 
-def exponents_of_degree(nvars: int, d: int):
+@cache
+def exponents_of_degree(nvars: int, d: int) -> tuple:
+    """All exponent tuples of total degree ``d``, canonically ordered.
+
+    The tuple depends only on its arguments, so it is built once per
+    ``(nvars, d)``; it is no larger than the column maps built from it.
+    """
     if nvars == 0:
-        if d == 0:
-            yield ()
-        return
+        return ((),) if d == 0 else ()
     if nvars == 1:
-        yield (d,)
-        return
-    for k in range(d, -1, -1):
-        for rest in exponents_of_degree(nvars - 1, d - k):
-            yield (k,) + rest
+        return ((d,),)
+    return tuple(
+        (k,) + rest for k in range(d, -1, -1) for rest in exponents_of_degree(nvars - 1, d - k)
+    )
 
 
 def canonical_exp_key(exp: Exponent):
@@ -353,8 +357,8 @@ class Polynomial:
 # truncated series
 
 
-def _graded(terms, unwrap, below):
-    """Terms of degree < ``below`` as sorted ``(degree, [(exponent, raw coeff)])``.
+def graded_terms(terms, unwrap, below):
+    """Terms of degree < ``below`` as sorted ``(degree, [(exponent, unwrap(coeff))])``.
 
     Only degrees that hold a term appear.
     """
@@ -463,8 +467,8 @@ class TruncatedSeries:
         )
         field = self.ring.field
         acc = {}
-        right = _graded(other.terms, field.unwrap, order)
-        for d1, terms1 in _graded(self.terms, field.unwrap, order):
+        right = graded_terms(other.terms, field.unwrap, order)
+        for d1, terms1 in graded_terms(self.terms, field.unwrap, order):
             for d2, terms2 in right:
                 if d1 + d2 >= order:
                     break
@@ -499,7 +503,7 @@ class TruncatedSeries:
         out = {self.ring.zero_exp(): inv0}
         # degree-by-degree recurrence: g_d = -1/f0 * sum_{0 < k <= d} f_k g_{d-k},
         # where f_k, g_k are the degree-k parts; g_by_degree[k] holds g_k raw
-        nonconst = [(k, terms) for k, terms in _graded(self.terms, unwrap, order) if k]
+        nonconst = [(k, terms) for k, terms in graded_terms(self.terms, unwrap, order) if k]
         g_by_degree = [[(self.ring.zero_exp(), unwrap(inv0))]]
         for d in range(1, order):
             acc = {}

@@ -22,6 +22,41 @@ def naive_convolution(f_terms, g_terms, below):
     return {e: c for e, c in out.items() if c}
 
 
+def recursive_exponents_of_degree(nvars, d):
+    """Exponents of total degree d, first entry descending, one generator per variable."""
+    if nvars == 0:
+        if d == 0:
+            yield ()
+        return
+    if nvars == 1:
+        yield (d,)
+        return
+    for k in range(d, -1, -1):
+        for rest in recursive_exponents_of_degree(nvars - 1, d - k):
+            yield (k,) + rest
+
+
+def textbook_truncated_multiple_rows(gens, below, rank_of, labels=None):
+    """Rows of every truncated multiple m*g, testing each term of g for each m.
+
+    Multipliers run over all exponents below ``below`` in canonical order;
+    a multiple with no term below ``below`` gives no row.
+    """
+    rows = []
+    for gi, g in enumerate(gens):
+        for d in range(below):
+            for m in recursive_exponents_of_degree(g.ring.nvars, d):
+                row = {}
+                for e, coeff in g.terms.items():
+                    if sum(m) + sum(e) < below:
+                        row[rank_of[tuple(a + b for a, b in zip(m, e))]] = coeff
+                if row:
+                    rows.append(row)
+                    if labels is not None:
+                        labels.append((gi, m))
+    return rows
+
+
 def geometric_series(order):
     """Coefficients of 1/(1-t) up to the given order."""
     return {(k,): Fraction(1) for k in range(order)}
@@ -162,10 +197,11 @@ def residual_free(T, b, vec, c):
 class FieldRowReducer:
     """Incremental reduced row echelon form on field elements, one entry at a time.
 
-    Same pivot rule (lowest column), same back-elimination order and same
-    statuses as ``truncas.linalg.RowReducer``, but every entry is a field
-    element and every operation is the field's own, so the package's
-    integer-scaled rows can be checked against it value for value.
+    Same pivot rule (lowest column) and statuses as
+    ``truncas.linalg.RowReducer``, but it back-eliminates every new pivot
+    into the stored rows, every entry is a field element and every operation
+    is the field's own.  The package's echelon rows, reduced on read, are
+    checked against it value for value.
     """
 
     def __init__(self, field, track_combinations=False):

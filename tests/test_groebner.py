@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from truncas.fields import QQ, PrimeField
 from truncas.groebner import (
@@ -14,11 +16,23 @@ from truncas.groebner import (
     ideal_low_degree_space,
     ideals_equal,
     leading_term,
+    subspace_column_ranks,
     truncated_completion_elimination,
+    truncated_multiple_rows,
 )
 from truncas.linalg import spans_equal
 from truncas.orders import GREVLEX, LEX, BlockOrder
-from truncas.series import Polynomial, Ring, exp_lcm, exp_sub, iter_exponents
+from truncas.series import (
+    Polynomial,
+    Ring,
+    TruncatedSeries,
+    exp_lcm,
+    exp_sub,
+    iter_exponents,
+    total_degree,
+)
+
+from oracles import textbook_truncated_multiple_rows
 
 RXY = Ring(QQ, ("x1", "y"), nx=1)
 RX = Ring(QQ, ("x1",))
@@ -226,3 +240,51 @@ def test_elimination_agrees_with_kernel_route():
     elim = eliminate_ideal(graph)
     kernel = kernel_exact(phi)
     assert ideals_equal(elim, kernel)
+
+
+# ---------------------------------------------------------------------------
+# the graded row builder against the per-term textbook loop
+
+ROW_SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def row_builder_cases(draw):
+    """(generators, below, rank map): polynomials, series and zeros in 1-3 variables."""
+    field = draw(st.sampled_from([QQ, PrimeField(7)]))
+    n = draw(st.integers(1, 3))
+    ring = Ring(field, ("x1", "x2", "x3")[:n], nx=draw(st.integers(1, n)))
+    below = draw(st.integers(0, 6))
+    coeff = st.integers(-3, 3).filter(bool).map(field)
+    gens = []
+    for _ in range(draw(st.integers(0, 4))):
+        kind = draw(st.sampled_from(["poly", "series", "zero"]))
+        order = max(below, 1) + draw(st.integers(0, 2))
+        top = order if kind == "series" else 8
+        exps = st.tuples(*[st.integers(0, top)] * n).filter(lambda e: sum(e) < top)
+        terms = {} if kind == "zero" else draw(st.dictionaries(exps, coeff, max_size=6))
+        if kind == "series":
+            gens.append(TruncatedSeries(ring, terms, order))
+        else:
+            gens.append(Polynomial(ring, terms))
+    if draw(st.booleans()):
+        rank_of = {e: i for i, e in enumerate(iter_exponents(n, below))}
+    else:
+        c = draw(st.integers(0, below))
+        nx = ring.nx
+
+        def keep(e):
+            return total_degree(e) < c and all(x == 0 for x in e[nx:])
+
+        rank_of = subspace_column_ranks(ring, below, keep)[0]
+    return gens, below, rank_of
+
+
+@ROW_SETTINGS
+@given(row_builder_cases())
+def test_row_builder_matches_textbook_oracle(case):
+    gens, below, rank_of = case
+    labels, oracle_labels = [], []
+    rows = truncated_multiple_rows(gens, below, rank_of, labels)
+    assert rows == textbook_truncated_multiple_rows(gens, below, rank_of, oracle_labels)
+    assert labels == oracle_labels

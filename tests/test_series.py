@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +18,7 @@ from truncas.series import (
     exp_divides,
     exp_lcm,
     exp_sub,
+    exponents_of_degree,
     format_terms,
     iter_exponents,
     substitute,
@@ -24,7 +26,7 @@ from truncas.series import (
 )
 from truncas.textio import parse_poly_text, parse_series_text
 
-from oracles import naive_convolution, geometric_series
+from oracles import naive_convolution, geometric_series, recursive_exponents_of_degree
 
 R2 = Ring(QQ, ("x1", "x2"))
 R1 = Ring(QQ, ("x1",))
@@ -363,3 +365,13 @@ def test_exponent_helpers_match_elementwise_definitions(pair):
     assert exp_sub(a, b) == tuple(x - y for x, y in zip(a, b))
     assert exp_divides(a, b) == all(x <= y for x, y in zip(a, b))
     assert exp_lcm(a, b) == tuple(max(x, y) for x, y in zip(a, b))
+
+
+def test_exponents_of_degree_match_recursive_enumeration():
+    for n in range(5):
+        for d in range(9):
+            got = exponents_of_degree(n, d)
+            assert got == tuple(recursive_exponents_of_degree(n, d))
+            assert len(got) == (comb(n + d - 1, d) if n else int(d == 0))
+        expected = [e for d in range(9) for e in recursive_exponents_of_degree(n, d)]
+        assert list(iter_exponents(n, 9)) == expected
