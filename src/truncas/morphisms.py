@@ -18,6 +18,7 @@ delivers canonical preimage representatives.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import mul
 
 from .errors import (
     NonPolynomialImages,
@@ -85,7 +86,14 @@ class AlgebraMorphism:
         j_gens = [] if self.J is None else self.J.gens
         if self.polynomial_images():
             gb = buchberger(j_gens, GREVLEX)
-            return all(gb.contains(g.compose_poly(self.images)) for g in self.I.gens)
+            degs = [max(phi.total_deg(), 0) for phi in self.images]
+            for g in self.I.gens:
+                # g(phi) has degree below bound, so the lifted images compose it exactly
+                bound = 1 + max((sum(map(mul, e, degs)) for e in g.terms), default=0)
+                value = substitute(g, [phi.as_series(bound) for phi in self.images])
+                if not gb.contains(Polynomial(self.target, value.terms, clean=False)):
+                    return False
+            return True
         if order is None:
             order = min(
                 g.known_order for g in self.images if isinstance(g, TruncatedSeries)

@@ -50,9 +50,6 @@ class BlockOrder:
         be = tuple(exp[i] for i in self.back)
         return (_grevlex_key(fe), _grevlex_key(be))
 
-    def in_back_block(self, exp) -> bool:
-        return all(exp[i] == 0 for i in self.front)
-
     def __repr__(self):
         return f"block(front={self.front})"
 

@@ -15,10 +15,16 @@ precision the inputs cannot certify.
 Canonical term order for printing and iteration is graded, then by
 declaration-order variable precedence inside each degree (x1 before x2).
 
-Series multiplication and inversion share one graded raw-coefficient
-kernel.  Each operand's terms are grouped by total degree into sorted
+``Polynomial`` and ``TruncatedSeries`` share one term-arithmetic core:
+queries, negation, scaling and the merge loop behind ``+`` and ``-`` are
+written once, and each class only says how a result is built.  Both
+products run the one kernel ``graded_product``, a series at its derived
+order and a polynomial at the exact bound ``deg f + deg g + 1``; inversion
+keeps its own recurrence.  ``substitute`` is the only composition routine.
+
+The kernel groups each operand's terms by total degree into sorted
 ``(degree, [(exponent, raw coeff)])`` lists that hold only the degrees
-present, so a product visits only degree pairs that land below its order
+present, so a product visits only degree pairs that land below its bound
 and stops at the first pair that reaches it.  Inner loops add plain
 numbers: the field's ``unwrap`` gives the raw value of an element (the
 ``Fraction`` for Q, the residue for F_p) and ``wrap`` turns each output sum
@@ -29,7 +35,6 @@ No code branches on which field it is.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cache
 from itertools import chain
 from operator import add, le, sub
@@ -132,9 +137,6 @@ class Ring:
                 raise TruncasError(f"variable name {name!r} already in ring")
         return Ring(self.field, self.names + extra, self.nx)
 
-    def with_split(self, nx: int) -> "Ring":
-        return Ring(self.field, self.names, nx)
-
     def index_of(self, name: str) -> int:
         try:
             return self.names.index(name)
@@ -151,10 +153,108 @@ def _require_same_ring(a, b):
 
 
 # ---------------------------------------------------------------------------
+# term arithmetic shared by polynomials and series
+
+
+def graded_terms(terms, unwrap, below):
+    """Terms of degree < ``below`` as sorted ``(degree, [(exponent, unwrap(coeff))])``.
+
+    Only degrees that hold a term appear.
+    """
+    by_degree = {}
+    for e, c in terms.items():
+        d = sum(e)
+        if d < below:
+            by_degree.setdefault(d, []).append((e, unwrap(c)))
+    return sorted(by_degree.items())
+
+
+def _wrapped(acc, wrap):
+    """Field elements of a raw-value accumulator, zeros dropped."""
+    out = {}
+    for e, v in acc.items():
+        c = wrap(v)
+        if c:
+            out[e] = c
+    return out
+
+
+def graded_product(f_terms, g_terms, field, below) -> dict:
+    """Nonzero terms of total degree < ``below`` of the product of two term dicts."""
+    unwrap = field.unwrap
+    acc = {}
+    right = graded_terms(g_terms, unwrap, below)
+    for d1, terms1 in graded_terms(f_terms, unwrap, below):
+        for d2, terms2 in right:
+            if d1 + d2 >= below:
+                break
+            for e1, c1 in terms1:
+                for e2, c2 in terms2:
+                    e = tuple(map(add, e1, e2))
+                    s = acc.get(e)
+                    acc[e] = c1 * c2 if s is None else s + c1 * c2
+    return _wrapped(acc, field.wrap)
+
+
+class _Terms:
+    """Queries and linear arithmetic on a sparse ``terms`` dict over ``ring``.
+
+    A subclass supplies ``_result(terms, other=None)``: an object of its own
+    kind holding the nonzero ``terms`` computed from ``self`` alone, or from
+    ``self`` and ``other``.
+    """
+
+    __slots__ = ()
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def coefficient(self, exp: Exponent):
+        return self.terms.get(tuple(exp), self.ring.field.zero)
+
+    def constant_term(self):
+        return self.terms.get(self.ring.zero_exp(), self.ring.field.zero)
+
+    def support_within(self, bound: int) -> bool:
+        """True iff every stored exponent uses only the first ``bound`` variables."""
+        return all(all(x == 0 for x in e[bound:]) for e in self.terms)
+
+    def sorted_terms(self):
+        return sorted(self.terms.items(), key=lambda kv: canonical_exp_key(kv[0]))
+
+    def __add__(self, other):
+        return self._merged(other, other.terms)
+
+    def __sub__(self, other):
+        return self._merged(other, {e: -c for e, c in other.terms.items()})
+
+    def _merged(self, other, terms):
+        _require_same_ring(self, other)
+        out = dict(self.terms)
+        for e, c in terms.items():
+            s = out.get(e)
+            s = c if s is None else s + c
+            if s:
+                out[e] = s
+            elif e in out:
+                del out[e]
+        return self._result(out, other)
+
+    def __neg__(self):
+        return self._result({e: -c for e, c in self.terms.items()})
+
+    def scale(self, value):
+        c0 = self.ring.field(value)
+        if not c0:
+            return self._result({})
+        return self._result({e: c0 * c for e, c in self.terms.items()})
+
+
+# ---------------------------------------------------------------------------
 # polynomials
 
 
-class Polynomial:
+class Polynomial(_Terms):
     """An exact sparse multivariate polynomial."""
 
     __slots__ = ("ring", "terms")
@@ -181,16 +281,10 @@ class Polynomial:
             return cls(ring, {})
         return cls(ring, {ring.zero_exp(): c}, clean=False)
 
+    def _result(self, terms, other=None) -> "Polynomial":
+        return Polynomial(self.ring, terms, clean=False)
+
     # queries
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def coefficient(self, exp: Exponent):
-        return self.terms.get(tuple(exp), self.ring.field.zero)
-
-    def constant_term(self):
-        return self.terms.get(self.ring.zero_exp(), self.ring.field.zero)
 
     def total_deg(self) -> int:
         """Total degree; -1 for the zero polynomial."""
@@ -198,67 +292,13 @@ class Polynomial:
             return -1
         return max(total_degree(e) for e in self.terms)
 
-    def valuation(self):
-        """Minimal total degree of a term, or None for zero."""
-        if not self.terms:
-            return None
-        return min(total_degree(e) for e in self.terms)
-
-    def support_within(self, bound: int) -> bool:
-        return all(all(x == 0 for x in e[bound:]) for e in self.terms)
-
-    def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda kv: canonical_exp_key(kv[0]))
-
     # arithmetic
-
-    def __add__(self, other):
-        _require_same_ring(self, other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            s = out.get(e)
-            s = c if s is None else s + c
-            if s:
-                out[e] = s
-            elif e in out:
-                del out[e]
-        return Polynomial(self.ring, out, clean=False)
-
-    def __sub__(self, other):
-        _require_same_ring(self, other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            s = out.get(e)
-            s = -c if s is None else s - c
-            if s:
-                out[e] = s
-            elif e in out:
-                del out[e]
-        return Polynomial(self.ring, out, clean=False)
-
-    def __neg__(self):
-        return Polynomial(self.ring, {e: -c for e, c in self.terms.items()}, clean=False)
 
     def __mul__(self, other):
         _require_same_ring(self, other)
-        out = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = exp_add(e1, e2)
-                c = c1 * c2
-                s = out.get(e)
-                s = c if s is None else s + c
-                if s:
-                    out[e] = s
-                elif e in out:
-                    del out[e]
-        return Polynomial(self.ring, out, clean=False)
-
-    def scale(self, value) -> "Polynomial":
-        c0 = self.ring.field(value)
-        if not c0:
-            return Polynomial.zero(self.ring)
-        return Polynomial(self.ring, {e: c0 * c for e, c in self.terms.items()}, clean=False)
+        bound = self.total_deg() + other.total_deg() + 1
+        terms = graded_product(self.terms, other.terms, self.ring.field, bound)
+        return Polynomial(self.ring, terms, clean=False)
 
     def __pow__(self, n: int):
         if n < 0:
@@ -309,36 +349,6 @@ class Polynomial:
         sub = self.ring.restrict(k)
         return Polynomial(sub, {e[:k]: c for e, c in self.terms.items()}, clean=False)
 
-    def compose_poly(self, images) -> "Polynomial":
-        """Exact composition with polynomial images (one per variable)."""
-        if len(images) != self.ring.nvars:
-            raise TruncasError("one image per variable is required")
-        if not images and not self.terms:
-            raise TruncasError("cannot compose a constant with no images into no ring")
-        target = images[0].ring if images else self.ring
-        for g in images:
-            if g.ring != target:
-                raise RingMismatch("images live in different rings")
-        out = Polynomial.zero(target)
-        powers = [{} for _ in images]
-
-        def power(i, k):
-            cache = powers[i]
-            if k not in cache:
-                if k == 0:
-                    cache[k] = Polynomial.const(target, 1)
-                else:
-                    cache[k] = power(i, k - 1) * images[i]
-            return cache[k]
-
-        for e, c in self.terms.items():
-            term = Polynomial.const(target, c)
-            for i, k in enumerate(e):
-                if k:
-                    term = term * power(i, k)
-            out = out + term
-        return out
-
     def __eq__(self, other):
         return (
             isinstance(other, Polynomial)
@@ -357,30 +367,7 @@ class Polynomial:
 # truncated series
 
 
-def graded_terms(terms, unwrap, below):
-    """Terms of degree < ``below`` as sorted ``(degree, [(exponent, unwrap(coeff))])``.
-
-    Only degrees that hold a term appear.
-    """
-    by_degree = {}
-    for e, c in terms.items():
-        d = sum(e)
-        if d < below:
-            by_degree.setdefault(d, []).append((e, unwrap(c)))
-    return sorted(by_degree.items())
-
-
-def _wrapped(acc, wrap):
-    """Field elements of a raw-value accumulator, zeros dropped."""
-    out = {}
-    for e, v in acc.items():
-        c = wrap(v)
-        if c:
-            out[e] = c
-    return out
-
-
-class TruncatedSeries:
+class TruncatedSeries(_Terms):
     """A power series known exactly below ``known_order`` total degree."""
 
     __slots__ = ("ring", "terms", "known_order")
@@ -404,16 +391,11 @@ class TruncatedSeries:
         terms = {ring.zero_exp(): c} if c else {}
         return cls(ring, terms, order)
 
+    def _result(self, terms, other=None) -> "TruncatedSeries":
+        order = self.known_order if other is None else min(self.known_order, other.known_order)
+        return TruncatedSeries(self.ring, terms, order)
+
     # queries
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def coefficient(self, exp: Exponent):
-        return self.terms.get(tuple(exp), self.ring.field.zero)
-
-    def constant_term(self):
-        return self.terms.get(self.ring.zero_exp(), self.ring.field.zero)
 
     def valuation(self) -> int:
         """Valuation lower bound: min stored degree, or the known order."""
@@ -422,69 +404,20 @@ class TruncatedSeries:
         return min(total_degree(e) for e in self.terms)
 
     def nested_support_ok(self, bound: int) -> bool:
-        """True iff every stored exponent uses only the first ``bound`` variables."""
+        """``support_within(bound)`` for a bound that must lie in 0..nvars."""
         if bound < 0 or bound > self.ring.nvars:
             raise TruncasError(f"bound {bound} outside 0..{self.ring.nvars}")
-        return all(all(x == 0 for x in e[bound:]) for e in self.terms)
-
-    def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda kv: canonical_exp_key(kv[0]))
-
-    def graded_slices(self):
-        """Dense view: one term dict per total degree, 0 .. known_order-1."""
-        slices = [dict() for _ in range(self.known_order)]
-        for e, coeff in self.terms.items():
-            slices[total_degree(e)][e] = coeff
-        return slices
+        return self.support_within(bound)
 
     # arithmetic
-
-    def __add__(self, other):
-        _require_same_ring(self, other)
-        order = min(self.known_order, other.known_order)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            s = out.get(e)
-            s = c if s is None else s + c
-            if s:
-                out[e] = s
-            elif e in out:
-                del out[e]
-        return TruncatedSeries(self.ring, out, order)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return TruncatedSeries(
-            self.ring, {e: -c for e, c in self.terms.items()}, self.known_order
-        )
 
     def __mul__(self, other):
         _require_same_ring(self, other)
         order = min(
             self.known_order + other.valuation(), other.known_order + self.valuation()
         )
-        field = self.ring.field
-        acc = {}
-        right = graded_terms(other.terms, field.unwrap, order)
-        for d1, terms1 in graded_terms(self.terms, field.unwrap, order):
-            for d2, terms2 in right:
-                if d1 + d2 >= order:
-                    break
-                for e1, c1 in terms1:
-                    for e2, c2 in terms2:
-                        e = tuple(map(add, e1, e2))
-                        acc[e] = acc.get(e, 0) + c1 * c2
-        return TruncatedSeries(self.ring, _wrapped(acc, field.wrap), order)
-
-    def scale(self, value) -> "TruncatedSeries":
-        c0 = self.ring.field(value)
-        if not c0:
-            return TruncatedSeries.zero(self.ring, self.known_order)
-        return TruncatedSeries(
-            self.ring, {e: c0 * c for e, c in self.terms.items()}, self.known_order
-        )
+        terms = graded_product(self.terms, other.terms, self.ring.field, order)
+        return TruncatedSeries(self.ring, terms, order)
 
     def truncate(self, c: int) -> "TruncatedSeries":
         order = min(c, self.known_order)
@@ -600,12 +533,6 @@ def substitute(f, images) -> TruncatedSeries:
 # canonical text form
 
 
-def _coeff_str(c) -> str:
-    if isinstance(c, Fraction):
-        return str(c)
-    return str(c)  # FpElement prints its residue
-
-
 def format_terms(obj, order: int = None) -> str:
     """Canonical textual form shared by Polynomial and TruncatedSeries."""
     names = obj.ring.names
@@ -617,7 +544,7 @@ def format_terms(obj, order: int = None) -> str:
                 factors.append(names[i])
             elif k > 1:
                 factors.append(f"{names[i]}^{k}")
-        cs = _coeff_str(c)
+        cs = str(c)
         if factors:
             if cs == "1":
                 body = "*".join(factors)

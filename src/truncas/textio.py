@@ -97,11 +97,6 @@ class TokenStream:
 
 
 def parse_expression(ts: TokenStream, ring: Ring, env) -> Polynomial:
-    expr = _parse_sum(ts, ring, env)
-    return expr
-
-
-def _parse_sum(ts, ring, env) -> Polynomial:
     acc = _parse_product(ts, ring, env)
     while ts.at_sym("+") or ts.at_sym("-"):
         op = ts.next().text
@@ -134,15 +129,7 @@ def _parse_factor(ts, ring, env) -> Polynomial:
 def _parse_atom(ts, ring, env) -> Polynomial:
     tok = ts.peek()
     if tok.kind == "int":
-        ts.next()
-        value = Fraction(int(tok.text))
-        if ts.at_sym("/"):
-            ts.next()
-            den = ts.expect("int")
-            if int(den.text) == 0:
-                raise ProblemSyntaxError("zero denominator", den.line, den.column)
-            value = Fraction(int(tok.text), int(den.text))
-        return Polynomial.const(ring, ring.field(value))
+        return Polynomial.const(ring, _parse_literal(ts, ring.field))
     if tok.kind == "name":
         ts.next()
         if tok.text in ring.names:
@@ -161,7 +148,7 @@ def _parse_atom(ts, ring, env) -> Polynomial:
         raise ProblemSyntaxError(f"undeclared name {tok.text!r}", tok.line, tok.column)
     if ts.at_sym("("):
         ts.next()
-        inner = _parse_sum(ts, ring, env)
+        inner = parse_expression(ts, ring, env)
         ts.expect("sym", ")")
         return inner
     raise ProblemSyntaxError(
@@ -376,8 +363,7 @@ def _parse_declaration(kw, name, ts, ring, env, declarations, head) -> Declarati
         big_env = {k: v.map_ring(big, list(range(ring.nvars))) for k, v in env.items()}
         poly = parse_expression(ts, big, big_env)
         ts.expect("sym", "@")
-        seed = _parse_rational(ts)
-        code = HenselCode(ring, poly, ring.field(seed))
+        code = HenselCode(ring, poly, _parse_literal(ts, ring.field))
         return Declaration("hensel", name, code)
     if kw == "matrix":
         ts.expect("sym", "=")
@@ -453,17 +439,24 @@ def _parse_declaration(kw, name, ts, ring, env, declarations, head) -> Declarati
     raise ProblemSyntaxError(f"unknown declaration {kw!r}", head.line, head.column)
 
 
-def _parse_rational(ts: TokenStream):
+def _parse_literal(ts: TokenStream, field_obj):
+    """A literal ``[-...] int [/ int]`` as an element of ``field_obj``.
+
+    A denominator that is zero in the field is an error at the denominator.
+    """
     negate = False
     while ts.at_sym("-"):
         ts.next()
         negate = not negate
-    tok = ts.expect("int")
-    value = Fraction(int(tok.text))
+    num = int(ts.expect("int").text)
+    den = 1
     if ts.at_sym("/"):
         ts.next()
-        den = ts.expect("int")
-        value = Fraction(int(tok.text), int(den.text))
+        tok = ts.expect("int")
+        den = int(tok.text)
+        if not field_obj(den):
+            raise ProblemSyntaxError(f"zero denominator in {field_obj!r}", tok.line, tok.column)
+    value = field_obj(Fraction(num, den))
     return -value if negate else value
 
 

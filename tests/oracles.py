@@ -18,8 +18,33 @@ def naive_convolution(f_terms, g_terms, below):
             e = tuple(a + b for a, b in zip(e1, e2))
             if sum(e) >= below:
                 continue
-            out[e] = out.get(e, Fraction(0)) + c1 * c2
+            s = out.get(e)
+            out[e] = c1 * c2 if s is None else s + c1 * c2
     return {e: c for e, c in out.items() if c}
+
+
+def textbook_compose(f, images):
+    """Terms of f(images) for polynomial images, with no truncation.
+
+    Each term of f is expanded from cached powers of the images by naive
+    convolution, below a degree bound that no term of the result reaches.
+    """
+    target = images[0].ring
+    top = max((sum(e) for e in f.terms), default=0)
+    below = 1 + top * max((sum(e) for g in images for e in g.terms), default=0)
+    powers = [[{target.zero_exp(): target.field.one}] for _ in images]
+    out = {}
+    for e, c in f.terms.items():
+        term = {target.zero_exp(): c}
+        for i, k in enumerate(e):
+            if k:
+                while len(powers[i]) <= k:
+                    powers[i].append(naive_convolution(powers[i][-1], images[i].terms, below))
+                term = naive_convolution(term, powers[i][k], below)
+        for mu, v in term.items():
+            s = out.get(mu)
+            out[mu] = v if s is None else s + v
+    return {mu: v for mu, v in out.items() if v}
 
 
 def recursive_exponents_of_degree(nvars, d):

@@ -247,3 +247,19 @@ def test_wrong_declaration_kind_is_input_error():
     code, _, err = run_cli(["-"], stdin_text=text)
     assert code == 1
     assert "hensel" in err
+
+
+ZERO_DENOMINATORS = [
+    ("field Fp 7\nring x: x1\nprecision 3\nseries f = 1/7\ntask order f\n", 14),
+    ("field Q\nring x: x1\nprecision 3\nhensel g : u - 1 @ 1/0\ntask lift g\n", 22),
+    ("field Fp 7\nring x: x1\nprecision 3\nhensel g : u - 1 @ 1/7\ntask lift g\n", 22),
+]
+
+
+@pytest.mark.parametrize("text,column", ZERO_DENOMINATORS)
+def test_zero_denominator_is_located_input_error(text, column):
+    code, out, err = run_cli(["-"], stdin_text=text)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: zero denominator")
+    assert f"(line 4, column {column})" in err

@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 
 from truncas.errors import CompositionIllDefined, NonUnit, RingMismatch, TruncasError
 from truncas.fields import QQ, PrimeField
+from truncas.groebner import PolyIdeal
+from truncas.morphisms import AlgebraMorphism
 from truncas.series import (
     Polynomial,
     Ring,
@@ -26,7 +28,12 @@ from truncas.series import (
 )
 from truncas.textio import parse_poly_text, parse_series_text
 
-from oracles import naive_convolution, geometric_series, recursive_exponents_of_degree
+from oracles import (
+    geometric_series,
+    naive_convolution,
+    recursive_exponents_of_degree,
+    textbook_compose,
+)
 
 R2 = Ring(QQ, ("x1", "x2"))
 R1 = Ring(QQ, ("x1",))
@@ -270,20 +277,6 @@ def test_canonical_print_order():
     assert format_terms(p) == "1 + x1 + x2 + x1^2"
 
 
-def test_graded_slices_view():
-    f = ts(R2, {(0, 0): 2, (1, 0): 1, (0, 1): -1, (2, 1): 5}, 5)
-    slices = f.graded_slices()
-    assert len(slices) == 5
-    assert slices[0] == {(0, 0): Fraction(2)}
-    assert slices[1] == {(1, 0): Fraction(1), (0, 1): Fraction(-1)}
-    assert slices[2] == {}
-    assert slices[3] == {(2, 1): Fraction(5)}
-    merged = {}
-    for sl in slices:
-        merged.update(sl)
-    assert merged == f.terms
-
-
 # ---------------------------------------------------------------------------
 # graded raw-coefficient kernel against textbook oracles
 
@@ -375,3 +368,89 @@ def test_exponents_of_degree_match_recursive_enumeration():
             assert len(got) == (comb(n + d - 1, d) if n else int(d == 0))
         expected = [e for d in range(9) for e in recursive_exponents_of_degree(n, d)]
         assert list(iter_exponents(n, 9)) == expected
+
+
+# ---------------------------------------------------------------------------
+# polynomial arithmetic and composition against textbook oracles
+
+NO_TRUNCATION = 10**6  # above every degree the strategies below can reach
+
+
+@st.composite
+def polynomials_in(draw, ring, degree=3, max_size=6):
+    """The zero polynomial, a constant, or a sparse polynomial of partial degrees <= degree."""
+    coefficients = _coefficients(ring.field)
+    shape = draw(st.integers(0, 4))  # 0: zero, 1: constant, otherwise sparse
+    if shape == 0:
+        return Polynomial.zero(ring)
+    if shape == 1:
+        return Polynomial.const(ring, draw(coefficients))
+    exponents = st.tuples(*[st.integers(0, degree)] * ring.nvars)
+    terms = draw(st.dictionaries(exponents, coefficients, min_size=1, max_size=max_size))
+    return Polynomial(ring, terms)
+
+
+@st.composite
+def polynomial_pairs(draw):
+    """Two polynomials over one ring; the second may cancel some terms of the first."""
+    ring = draw(rings())
+    f, g = draw(polynomials_in(ring)), draw(polynomials_in(ring))
+    if f.terms and draw(st.booleans()):
+        cancelled = draw(st.sets(st.sampled_from(sorted(f.terms)), min_size=1))
+        g = Polynomial(ring, {**g.terms, **{e: -f.terms[e] for e in cancelled}})
+    return f, g
+
+
+def _textbook_sum(f_terms, g_terms):
+    out = dict(f_terms)
+    for e, c in g_terms.items():
+        out[e] = out[e] + c if e in out else c
+    return {e: c for e, c in out.items() if c}
+
+
+@KERNEL_SETTINGS
+@given(polynomial_pairs())
+def test_polynomial_arithmetic_matches_textbook_oracle(pair):
+    f, g = pair
+    ring = f.ring
+    negated = {e: -c for e, c in g.terms.items()}
+    assert f + g == Polynomial(ring, _textbook_sum(f.terms, g.terms))
+    assert f - g == Polynomial(ring, _textbook_sum(f.terms, negated))
+    assert -g == Polynomial(ring, negated)
+    assert f * g == Polynomial(ring, naive_convolution(f.terms, g.terms, NO_TRUNCATION))
+    for c in {g.constant_term(), ring.field(3)}:
+        assert f.scale(c) == Polynomial(ring, {e: c * v for e, v in f.terms.items()})
+
+
+@st.composite
+def compositions(draw):
+    """f over x1..xn with one polynomial image per variable over y1..ym."""
+    field = draw(st.sampled_from([QQ, F7]))
+    source = Ring(field, ("x1", "x2", "x3")[: draw(st.integers(1, 3))])
+    target = Ring(field, ("y1", "y2")[: draw(st.integers(1, 2))])
+    f = draw(polynomials_in(source, degree=2))
+    images = [draw(polynomials_in(target, degree=2, max_size=4)) for _ in source.names]
+    return f, images
+
+
+@KERNEL_SETTINGS
+@given(compositions())
+def test_substitute_lifted_polynomials_matches_composition_oracle(case):
+    f, images = case
+    top = max((total_degree(e) for e in f.terms), default=0)
+    below = 1 + top * max(max(g.total_deg(), 0) for g in images)
+    out = substitute(f, [g.as_series(below) for g in images])
+    assert out.known_order >= below
+    assert out.terms == textbook_compose(f, images)
+
+
+@KERNEL_SETTINGS
+@given(compositions())
+def test_exact_well_definedness_matches_composition_oracle(case):
+    f, images = case
+    source, target = f.ring, images[0].ring
+    value = Polynomial(target, textbook_compose(f, images))
+    I = PolyIdeal(source, [f])
+    assert AlgebraMorphism(source, target, images, I=I).well_defined() == value.is_zero()
+    J = PolyIdeal(target, [value])
+    assert AlgebraMorphism(source, target, images, I=I, J=J).well_defined()
