@@ -22,14 +22,37 @@ products run the one kernel ``graded_product``, a series at its derived
 order and a polynomial at the exact bound ``deg f + deg g + 1``; inversion
 keeps its own recurrence.  ``substitute`` is the only composition routine.
 
-The kernel groups each operand's terms by total degree into sorted
-``(degree, [(exponent, raw coeff)])`` lists that hold only the degrees
-present, so a product visits only degree pairs that land below its bound
-and stops at the first pair that reaches it.  Inner loops add plain
-numbers: the field's ``unwrap`` gives the raw value of an element (the
-``Fraction`` for Q, the residue for F_p) and ``wrap`` turns each output sum
-back into a field element once (identity for Q, reduction mod p for F_p).
-No code branches on which field it is.
+The kernel has two paths and no code branches on which field it is.
+
+- Packed (Kronecker substitution; von zur Gathen & Gerhard, *Modern
+  Computer Algebra*, section 8.4).  The field's ``scale_row`` gives each
+  operand as integer numerators over one denominator (the lcm over Q, 1
+  over F_p).  Variable i gets weight B^i with B = 2 below - 1, so the
+  numerators go into one Python integer per operand, in byte-aligned slots
+  wide enough for min(#f, #g) products plus a sign bit; negative
+  numerators are packed apart and subtracted.  One big-integer multiply
+  forms every output coefficient.  Adding 2^(w-1) to each w-bit slot makes
+  all slots non-negative, one ``to_bytes`` reads them out, and only the
+  slots of degree < below are sliced, through a table built on first use
+  per ``(nvars, below)``; ``unscale`` divides by the two denominators.
+- Graded loop.  Each operand's terms are grouped by total degree into
+  sorted ``(degree, [(exponent, raw coeff)])`` lists that hold only the
+  degrees present, so a product visits only degree pairs that land below
+  its bound and stops at the first pair that reaches it.  Inner loops add
+  plain numbers: the field's ``unwrap`` gives the raw value of an element
+  (the ``Fraction`` for Q, the residue for F_p) and ``wrap`` turns each
+  output sum back into a field element once.
+
+The packed path runs when ``PACKED_MIN_FILL * (2 below - 1)^n <= #f * #g``,
+that is when the term pairs fill the dense box it multiplies.  The
+constant was measured on random dense products over Q and F_(2^31-1) in
+1-3 variables and on the products of the ``fp`` benchmark stream.  Sparse
+and parse-size products keep the graded loop, and so do most products in
+three or more variables, where the box (2 below - 1)^n is mostly waste.
+
+``invert`` keeps its degree-by-degree recurrence: Newton inversion on the
+packed product gives the same series but was about twice as slow over F_p
+in 1-3 variables, and won only over Q, where no hot path inverts.
 """
 
 from __future__ import annotations
@@ -37,7 +60,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 from itertools import chain
-from operator import add, le, sub
+from operator import add, le, mul, sub
 
 from .errors import CompositionIllDefined, NonUnit, RingMismatch, TruncasError
 
@@ -179,8 +202,21 @@ def _wrapped(acc, wrap):
     return out
 
 
+# The packed product runs when the operands' term pairs number at least this
+# many times the dense box of (2 below - 1)^n slots it multiplies; below that
+# the graded loop is faster.  A measured crossover, like a Karatsuba
+# threshold (module docstring); not an option.
+PACKED_MIN_FILL = 3
+
+
 def graded_product(f_terms, g_terms, field, below) -> dict:
     """Nonzero terms of total degree < ``below`` of the product of two term dicts."""
+    pairs = len(f_terms) * len(g_terms)
+    # the box is at least 2 below - 1 slots, so small products skip the power
+    if pairs and PACKED_MIN_FILL * (2 * below - 1) <= pairs:
+        nvars = len(next(iter(f_terms)))
+        if PACKED_MIN_FILL * (2 * below - 1) ** nvars <= pairs:
+            return _packed_product(f_terms, g_terms, field, below, nvars)
     unwrap = field.unwrap
     acc = {}
     right = graded_terms(g_terms, unwrap, below)
@@ -194,6 +230,76 @@ def graded_product(f_terms, g_terms, field, below) -> dict:
                     s = acc.get(e)
                     acc[e] = c1 * c2 if s is None else s + c1 * c2
     return _wrapped(acc, field.wrap)
+
+
+@cache
+def _slot_table(nvars: int, below: int) -> tuple:
+    """``(exponent, slot)`` for every exponent of degree < ``below``, slot = sum e_i B^i."""
+    weights = [(2 * below - 1) ** i for i in range(nvars)]
+    return tuple((e, sum(map(mul, e, weights))) for e in iter_exponents(nvars, below))
+
+
+def _pack(nums, weights, width, slots) -> int:
+    """One integer holding ``nums[e]`` in ``width``-byte slot ``sum e_i weights_i``."""
+    pos = bytearray(width * slots)
+    neg = None
+    for e, a in nums.items():
+        at = sum(map(mul, e, weights)) * width
+        if a >= 0:
+            pos[at : at + width] = a.to_bytes(width, "little")
+        else:
+            if neg is None:
+                neg = bytearray(width * slots)
+            neg[at : at + width] = (-a).to_bytes(width, "little")
+    packed = int.from_bytes(pos, "little")
+    return packed if neg is None else packed - int.from_bytes(neg, "little")
+
+
+def _packed_product(f_terms, g_terms, field, below, nvars) -> dict:
+    """``graded_product`` by Kronecker substitution: one big-integer multiply.
+
+    Variable i gets weight B^i with B = 2 below - 1, so no exponent sum of
+    two terms of degree < below carries into the next variable's digit.
+    Numerators come in through the field's ``scale_row`` over one
+    denominator per operand; every output slot is a sum of at most
+    min(#f, #g) products, which the slot width holds with a sign bit.
+    """
+    f_den, f_nums, _ = field.scale_row(
+        {e: c for e, c in f_terms.items() if sum(e) < below}, field.zero
+    )
+    g_den, g_nums, _ = field.scale_row(
+        {e: c for e, c in g_terms.items() if sum(e) < below}, field.zero
+    )
+    if not f_nums or not g_nums:
+        return {}
+    bits = (
+        max(map(abs, f_nums.values())).bit_length()
+        + max(map(abs, g_nums.values())).bit_length()
+        + min(len(f_nums), len(g_nums)).bit_length()
+        + 1
+    )
+    width = (bits + 7) // 8
+    base = 2 * below - 1
+    weights = [base**i for i in range(nvars)]
+    slots = (below - 1) * weights[-1] + 1  # up to the last slot of degree < below
+    product = _pack(f_nums, weights, width, slots) * _pack(g_nums, weights, width, slots)
+    # one offset of 2^(8 width - 1) per slot makes every slot non-negative,
+    # so the low slots read off with a single to_bytes
+    offset = 1 << (8 * width - 1)
+    size = width * slots
+    offsets = int.from_bytes((bytes(width - 1) + b"\x80") * slots, "little")
+    data = ((product + offsets) & ((1 << (8 * size)) - 1)).to_bytes(size, "little")
+    unscale = field.unscale
+    den = f_den * g_den
+    out = {}
+    for e, slot in _slot_table(nvars, below):
+        at = slot * width
+        v = int.from_bytes(data[at : at + width], "little") - offset
+        if v:
+            c = unscale(v, den)
+            if c:
+                out[e] = c
+    return out
 
 
 class _Terms:
@@ -377,9 +483,16 @@ class TruncatedSeries(_Terms):
             raise TruncasError("known_order must be positive")
         self.ring = ring
         self.known_order = known_order
-        self.terms = {
-            e: c for e, c in terms.items() if c and total_degree(e) < known_order
-        }
+        self.terms = {e: c for e, c in terms.items() if c and sum(e) < known_order}
+
+    @classmethod
+    def _clean(cls, ring: Ring, terms: dict, known_order: int) -> "TruncatedSeries":
+        """A series over ``terms`` that are already nonzero and of degree < known_order."""
+        out = cls.__new__(cls)
+        out.ring = ring
+        out.known_order = known_order
+        out.terms = terms
+        return out
 
     @classmethod
     def zero(cls, ring: Ring, order: int) -> "TruncatedSeries":
@@ -392,8 +505,10 @@ class TruncatedSeries(_Terms):
         return cls(ring, terms, order)
 
     def _result(self, terms, other=None) -> "TruncatedSeries":
-        order = self.known_order if other is None else min(self.known_order, other.known_order)
-        return TruncatedSeries(self.ring, terms, order)
+        # terms from operands of one order are already below it
+        if other is None or other.known_order == self.known_order:
+            return TruncatedSeries._clean(self.ring, terms, self.known_order)
+        return TruncatedSeries(self.ring, terms, min(self.known_order, other.known_order))
 
     # queries
 
@@ -417,7 +532,7 @@ class TruncatedSeries(_Terms):
             self.known_order + other.valuation(), other.known_order + self.valuation()
         )
         terms = graded_product(self.terms, other.terms, self.ring.field, order)
-        return TruncatedSeries(self.ring, terms, order)
+        return TruncatedSeries._clean(self.ring, terms, order)
 
     def truncate(self, c: int) -> "TruncatedSeries":
         order = min(c, self.known_order)
@@ -450,7 +565,7 @@ class TruncatedSeries(_Terms):
             g_d = _wrapped({e: neg_inv0 * v for e, v in acc.items()}, field.wrap)
             out.update(g_d)
             g_by_degree.append([(e, unwrap(c)) for e, c in g_d.items()])
-        return TruncatedSeries(self.ring, out, order)
+        return TruncatedSeries._clean(self.ring, out, order)
 
     def __eq__(self, other):
         return (
@@ -502,24 +617,23 @@ def substitute(f, images) -> TruncatedSeries:
             )
         cap = f.known_order * min(vals)
 
+    # the order of f's constant term: above every image order, so it lowers none
     big = max(g.known_order for g in images) + 1
-    powers = [{} for _ in images]
+    powers = [{1: g} for g in images]
 
     def power(i, k) -> TruncatedSeries:
         cache = powers[i]
         if k not in cache:
-            if k == 0:
-                cache[k] = TruncatedSeries.const(target, 1, big)
-            else:
-                cache[k] = power(i, k - 1) * images[i]
+            cache[k] = power(i, k - 1) * images[i]
         return cache[k]
 
     result = None
     for e, c in f.terms.items():
-        term = TruncatedSeries.const(target, c, big)
+        term = None
         for i, k in enumerate(e):
             if k:
-                term = term * power(i, k)
+                term = power(i, k) if term is None else term * power(i, k)
+        term = TruncatedSeries.const(target, c, big) if term is None else term.scale(c)
         result = term if result is None else result + term
     if result is None:
         result = TruncatedSeries.zero(target, big)

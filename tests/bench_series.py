@@ -10,6 +10,10 @@ Operands are drawn once from fixed seeds:
 - dense series products over F_(2^31-1) in one variable at order 200 and
   over Q in two variables at order 16, and the inverses of the same
   operands with a unit constant term;
+- dense series products on each side of the packed kernel's crossover
+  (``series.PACKED_MIN_FILL``): over F_(2^31-1) in two variables at orders
+  8 and 12 (packed) and in three variables at order 6 (graded loop), and
+  over Q in one variable at order 100 (packed);
 - the Hensel residual F(x, f) of the Catalan code u - 1 - x1*u^2 at its
   own lift to order 64 over F_(2^31-1), the ``substitute`` each Newton
   step makes.
@@ -75,8 +79,23 @@ def _series_operands():
     }
 
 
+def _crossover_operands():
+    rng = random.Random(8)
+    cases = {}
+    for name, field, nvars, order in (
+        ("fp-2var-c8", FP, 2, 8),
+        ("fp-2var-c12", FP, 2, 12),
+        ("fp-3var-c6", FP, 3, 6),
+        ("q-1var-c100", QQ, 1, 100),
+    ):
+        ring = Ring(field, ("x1", "x2", "x3")[:nvars])
+        cases[name] = (_dense_series(rng, ring, order), _dense_series(rng, ring, order))
+    return cases
+
+
 POLYNOMIALS = _polynomial_operands()
 SERIES = _series_operands()
+PRODUCTS = {**SERIES, **_crossover_operands()}
 
 
 @pytest.mark.parametrize("case", sorted(POLYNOMIALS))
@@ -86,9 +105,9 @@ def test_polynomial_mul(benchmark, case):
     assert product == Polynomial(f.ring, naive_convolution(f.terms, g.terms, 10**6))
 
 
-@pytest.mark.parametrize("case", sorted(SERIES))
+@pytest.mark.parametrize("case", sorted(PRODUCTS))
 def test_series_mul(benchmark, case):
-    f, g = SERIES[case]
+    f, g = PRODUCTS[case]
     product = benchmark(f.__mul__, g)
     assert product.terms == naive_convolution(f.terms, g.terms, product.known_order)
 

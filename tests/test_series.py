@@ -5,7 +5,7 @@ from fractions import Fraction
 from math import comb
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from truncas.errors import CompositionIllDefined, NonUnit, RingMismatch, TruncasError
@@ -13,6 +13,7 @@ from truncas.fields import QQ, PrimeField
 from truncas.groebner import PolyIdeal
 from truncas.morphisms import AlgebraMorphism
 from truncas.series import (
+    PACKED_MIN_FILL,
     Polynomial,
     Ring,
     TruncatedSeries,
@@ -25,6 +26,7 @@ from truncas.series import (
     iter_exponents,
     substitute,
     total_degree,
+    _packed_product,
 )
 from truncas.textio import parse_poly_text, parse_series_text
 
@@ -454,3 +456,109 @@ def test_exact_well_definedness_matches_composition_oracle(case):
     assert AlgebraMorphism(source, target, images, I=I).well_defined() == value.is_zero()
     J = PolyIdeal(target, [value])
     assert AlgebraMorphism(source, target, images, I=I, J=J).well_defined()
+
+
+# ---------------------------------------------------------------------------
+# packed (Kronecker) product against the same oracle
+
+FP31 = PrimeField(2**31 - 1)
+# prime powers, so a few denominators already have a large lcm
+LCM_HEAVY = (1, 2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31, 49)
+MAX_ORDER = {1: 40, 2: 12, 3: 7}  # dense operands reach both sides of the crossover
+
+
+def _dense_coefficient_source(field, rng):
+    """A function drawing one coefficient, with a drawn size, sign and denominator mix."""
+    if field != QQ:
+        low = rng.choice([0, field.p - 9])  # uniform residues, or the top ones
+        return lambda: field(rng.randrange(low, field.p))
+    size = rng.choice([9, 2**63, 2**64, 2**80])
+    sign = rng.choice([(-1, 1), (1,), (-1,)])
+    dens = rng.choice([(1,), tuple(range(1, 10)), LCM_HEAVY])
+
+    def coefficient():
+        num = rng.randint(-9, 9) if size == 9 else size + rng.randint(-9, 9)
+        return Fraction(rng.choice(sign) * num, rng.choice(dens))
+
+    return coefficient
+
+
+def _dense_series(ring, rng, order):
+    """Empty, constant, or dense above a drawn valuation with drawn gaps and density."""
+    coefficient = _dense_coefficient_source(ring.field, rng)
+    shape = rng.choice(["dense"] * 6 + ["constant", "empty"])
+    if shape == "empty":
+        return TruncatedSeries.zero(ring, order)
+    if shape == "constant":
+        return TruncatedSeries(ring, {ring.zero_exp(): coefficient()}, order)
+    val = rng.choice([0] * 4 + [1, order // 2, order - 1])
+    gaps = {rng.randrange(order) for _ in range(rng.choice([0, 0, 1, 2]))}  # degrees left empty
+    density = rng.choice([1.0, 1.0, 0.8, 0.4])
+    terms = {
+        e: coefficient()
+        for e in iter_exponents(ring.nvars, order)
+        if total_degree(e) >= val and total_degree(e) not in gaps and rng.random() < density
+    }
+    return TruncatedSeries(ring, terms, order)
+
+
+@st.composite
+def dense_series_pairs(draw):
+    """Two series over Q, F_7 or F_(2^31-1); the operands come from a drawn seed.
+
+    Hypothesis favours small draws, which would rarely reach the packed
+    product, so only the field, the variable count and the seed are drawn.
+    """
+    field = draw(st.sampled_from([QQ, F7, FP31]))
+    ring = Ring(field, ("x1", "x2", "x3")[: draw(st.integers(1, 3))])
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    order = rng.randint(1, MAX_ORDER[ring.nvars])
+    other = rng.choice([order, rng.randint(1, MAX_ORDER[ring.nvars])])
+    return _dense_series(ring, rng, order), _dense_series(ring, rng, other)
+
+
+@settings(KERNEL_SETTINGS, max_examples=200)
+@given(dense_series_pairs())
+def test_packed_product_matches_pairwise_oracle(pair):
+    f, g = pair
+    expected = _pairwise_mul(f, g)
+    fill = len(f.terms) * len(g.terms) / (2 * expected.known_order - 1) ** f.ring.nvars
+    event("f * g packed" if fill >= PACKED_MIN_FILL else "f * g graded")
+    assert f * g == expected
+    below = expected.known_order
+    assert _packed_product(f.terms, g.terms, f.ring.field, below, f.ring.nvars) == expected.terms
+    # a polynomial product keeps the top degree, which is exactly below - 1
+    p, q = Polynomial(f.ring, f.terms), Polynomial(g.ring, g.terms)
+    exact = naive_convolution(p.terms, q.terms, NO_TRUNCATION)
+    assert p * q == Polynomial(f.ring, exact)
+    if p.terms and q.terms:
+        assert _packed_product(
+            p.terms, q.terms, f.ring.field, p.total_deg() + q.total_deg() + 1, f.ring.nvars
+        ) == exact
+
+
+@pytest.mark.parametrize(
+    "field,nvars,order,packed",
+    [
+        (FP31, 1, 5, False),
+        (FP31, 1, 6, True),
+        (FP31, 2, 5, False),
+        (FP31, 2, 6, True),
+        (FP31, 3, 6, False),
+        (QQ, 1, 100, True),
+        (QQ, 3, 8, True),
+    ],
+)
+def test_dense_products_on_both_sides_of_the_crossover(field, nvars, order, packed):
+    rng = random.Random(order)
+    ring = Ring(field, ("x1", "x2", "x3")[:nvars])
+    exponents = list(iter_exponents(nvars, order))
+    if field == QQ:
+        draws = [{e: Fraction(rng.randint(-99, 99), rng.choice(LCM_HEAVY)) for e in exponents}
+                 for _ in range(2)]
+    else:
+        draws = [{e: field(rng.randrange(field.p)) for e in exponents} for _ in range(2)]
+    f, g = (TruncatedSeries(ring, terms, order) for terms in draws)
+    fill = len(f.terms) * len(g.terms) / (2 * order - 1) ** nvars
+    assert (fill >= PACKED_MIN_FILL) == packed
+    assert f * g == _pairwise_mul(f, g)
