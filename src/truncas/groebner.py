@@ -8,12 +8,19 @@ polynomial ideal is the rank-1 case: with one component the module order is
 just the monomial order, so ``buchberger`` embeds its generators in
 component 0 and reads the basis back as polynomials.
 
-The engine is plain Buchberger with the normal selection strategy and the
-chain criterion.  The coprime-lcm (product) criterion holds only when every
-input element lies in one component, which covers every ideal; for elements
-spread over several components it is false and is not applied.  Bases are
-returned fully inter-reduced and monic, sorted by leading term, so the
-output is a canonical form depending only on the order.
+The engine computes each order key once: a ``ModuleOrder`` is also the
+cache of its keys, filled on the first lookup of each monomial.  Pairs wait
+in a heap, smallest lcm first (the normal strategy), ties by pair.  When an
+element enters the basis, the Gebauer-Moller update drops the queued pairs
+criterion B removes and filters the new pairs by criteria M and F (Gebauer
+& Moller, "On an installation of Buchberger's algorithm", JSC 1988).  The
+coprime-lcm (product) criterion then drops new pairs only when every input
+element lies in one component, which covers every ideal; for elements
+spread over several components it is false and is not applied.  Every
+element is made monic as it enters the basis, so S-vectors and reduction
+steps never divide.  Bases are returned fully inter-reduced and monic,
+sorted by leading term, so the output is a canonical form depending only
+on the order.
 
 ``truncated_completion_elimination`` deliberately avoids Groebner bases: it
 works on the finite-dimensional space spanned by truncated multiples of the
@@ -25,7 +32,8 @@ against the exact elimination ideal is the point of keeping two routes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import add
+from heapq import heappop, heappush
+from operator import add, le
 
 from .errors import TruncasError
 from .linalg import RowReducer
@@ -78,7 +86,7 @@ class PolyIdeal:
 
 
 class GroebnerBasis:
-    """A reduced Groebner basis with normal-form reduction.
+    """A reduced (so monic) Groebner basis with normal-form reduction.
 
     The elements are embedded as rank-1 module elements, with their leading
     monomials, once at construction; every normal form reuses them.
@@ -123,16 +131,24 @@ def elem_to_vec(elem: dict, ring: Ring, rank: int):
     return [Polynomial(ring, t, clean=False) for t in terms]
 
 
-class ModuleOrder:
+class ModuleOrder(dict):
     """Position-over-term: lower components dominate; ``order`` on monomials.
 
     ``tag_index`` optionally names a variable whose presence dominates
     everything, which is what tag-variable intersections eliminate.
+
+    The instance is also the cache of its keys: ``self[mono]`` is
+    ``self.key(mono)``, computed on the first lookup of each monomial.
     """
 
     def __init__(self, order=GREVLEX, tag_index=None):
+        super().__init__()
         self.order = order
         self.tag_index = tag_index
+
+    def __missing__(self, mono):
+        key = self[mono] = self.key(mono)
+        return key
 
     def key(self, mono):
         comp, e = mono
@@ -144,38 +160,40 @@ class ModuleOrder:
 def mod_leading(elem: dict, order: ModuleOrder):
     if not elem:
         raise TruncasError("zero module element has no leading term")
-    mono = max(elem, key=order.key)
+    mono = max(elem, key=order.__getitem__)
     return mono, elem[mono]
 
 
 def mod_normal_form(elem: dict, basis, order: ModuleOrder, lts=None) -> dict:
-    """Remainder of ``elem`` on division by ``basis``.
+    """Remainder of ``elem`` on division by the monic elements ``basis``.
 
     The largest remaining term is cancelled against the first basis element
-    whose leading term divides it, or else moved to the remainder.  ``lts``,
-    when the caller holds them, are the basis elements' leading monomials.
+    whose leading term divides it, or else moved to the remainder.  Every
+    basis element must have leading coefficient one, as the output of
+    ``module_buchberger`` has, so no step divides.  ``lts``, when the caller
+    holds them, are the basis elements' leading monomials.
     """
     if not basis:
         return dict(elem)
     if lts is None:
         lts = [mod_leading(g, order)[0] for g in basis]
+    key_of = order.__getitem__
     work = dict(elem)
     out = {}
     while work:
-        mono = max(work, key=order.key)
+        mono = max(work, key=key_of)
         coeff = work.pop(mono)
         comp, exp = mono
-        for g, lt in zip(basis, lts):
-            lt_comp, lt_exp = lt
-            if lt_comp == comp and exp_divides(lt_exp, exp):
-                factor = coeff / g[lt]
+        for g, (lt_comp, lt_exp) in zip(basis, lts):
+            if lt_comp == comp and all(map(le, lt_exp, exp)):
+                neg = -coeff
                 shift = exp_sub(exp, lt_exp)
                 for (c2, e2), v in g.items():
-                    key = (c2, exp_add(e2, shift))
+                    key = (c2, tuple(map(add, e2, shift)))
                     if key == mono:
                         continue
                     cur = work.get(key)
-                    nxt = -factor * v if cur is None else cur - factor * v
+                    nxt = neg * v if cur is None else cur + neg * v
                     if nxt:
                         work[key] = nxt
                     elif cur is not None:
@@ -186,62 +204,79 @@ def mod_normal_form(elem: dict, basis, order: ModuleOrder, lts=None) -> dict:
     return out
 
 
+def _monic(elem: dict, lt) -> dict:
+    lc = elem[lt]
+    return {k: v / lc for k, v in elem.items()}
+
+
 def module_buchberger(elements, order: ModuleOrder):
     """Reduced Groebner basis of the submodule the elements generate.
 
-    Pairs are formed only between elements with equal leading components.
-    Each pair's selection key is computed once, when the pair is queued.
+    Every element is made monic as it enters the basis.  Pairs are formed
+    only between elements with equal leading components, filtered by the
+    Gebauer-Moller criteria when an element enters, and taken from a heap
+    smallest lcm first, ties by pair.
     """
-    basis = [dict(e) for e in elements if e]
+    basis, lts = [], []
+    for e in elements:
+        if e:
+            lt = mod_leading(e, order)[0]
+            basis.append(_monic(e, lt))
+            lts.append(lt)
     if not basis:
         return []
     single_component = len({comp for g in basis for comp, _ in g}) == 1
-    lts = [mod_leading(g, order)[0] for g in basis]
-    pending = {}  # pair -> selection key: smallest lcm first, ties by pair
+    live = {}  # queued pair -> lcm of its leading exponents
+    heap = []  # (order key of (component, lcm), pair)
 
-    def queue(new):
-        comp, e = lts[new]
-        for k in range(new):
-            if lts[k][0] == comp:
-                lcm = exp_lcm(lts[k][1], e)
-                pending[(k, new)] = (order.key((comp, lcm)), (k, new))
+    def update(new):
+        comp, t = lts[new]
+        # criterion B: t divides an old pair's lcm, which differs from both
+        # lcms with t, so the two pairs with the new element cover it
+        for (i, j), lcm in list(live.items()):
+            if (
+                lts[i][0] == comp
+                and exp_divides(t, lcm)
+                and exp_lcm(lts[i][1], t) != lcm
+                and exp_lcm(lts[j][1], t) != lcm
+            ):
+                del live[(i, j)]
+        cands = [(exp_lcm(e, t), k) for k, (c, e) in enumerate(lts[:new]) if c == comp]
+        # criterion M: drop a new pair whose lcm another new lcm properly
+        # divides; a proper divisor has lower degree, so comes first here
+        minimal = []
+        for a in sorted({lcm for lcm, _ in cands}, key=sum):
+            if not any(exp_divides(b, a) for b in minimal):
+                minimal.append(a)
+        unpaired = set(minimal)
+        for lcm, k in cands:
+            # criterion F: the first pair of each lcm stands for the others
+            if lcm not in unpaired:
+                continue
+            unpaired.remove(lcm)
+            if single_component and lcm == exp_add(lts[k][1], t):
+                continue  # coprime leading terms
+            live[(k, new)] = lcm
+            heappush(heap, (order[(comp, lcm)], (k, new)))
 
     for new in range(len(basis)):
-        queue(new)
+        update(new)
 
-    while pending:
-        i, j = min(pending, key=pending.__getitem__)
-        del pending[(i, j)]
-        (comp, ei), (_, ej) = lts[i], lts[j]
-        lcm = exp_lcm(ei, ej)
-        if single_component and lcm == exp_add(ei, ej):
-            continue  # coprime leading terms
-        chain = False
-        for k in range(len(basis)):
-            if k in (i, j) or lts[k][0] != comp:
-                continue
-            if not exp_divides(lts[k][1], lcm):
-                continue
-            a = (min(i, k), max(i, k))
-            b = (min(j, k), max(j, k))
-            if a not in pending and b not in pending:
-                chain = True
-                break
-        if chain:
-            continue
+    while heap:
+        pair = heappop(heap)[1]
+        lcm = live.pop(pair, None)
+        if lcm is None:
+            continue  # dropped by criterion B after it was queued
+        i, j = pair
         gi, gj = basis[i], basis[j]
-        lci, lcj = gi[lts[i]], gj[lts[j]]
-        si = exp_sub(lcm, ei)
-        sj = exp_sub(lcm, ej)
-        # s-vector: x^si gi / lc_i - x^sj gj / lc_j
-        s = {}
-        for (c, e), v in gi.items():
-            s[(c, exp_add(e, si))] = v / lci
+        si = exp_sub(lcm, lts[i][1])
+        sj = exp_sub(lcm, lts[j][1])
+        # s-vector of monic elements: x^si gi - x^sj gj
+        s = {(c, exp_add(e, si)): v for (c, e), v in gi.items()}
         for (c, e), v in gj.items():
             key = (c, exp_add(e, sj))
-            val = v / lcj
             cur = s.get(key)
-            nxt = -val if cur is None else cur - val
+            nxt = -v if cur is None else cur - v
             if nxt:
                 s[key] = nxt
             elif cur is not None:
@@ -249,32 +284,30 @@ def module_buchberger(elements, order: ModuleOrder):
         s = mod_normal_form(s, basis, order, lts)
         if not s:
             continue
-        basis.append(s)
-        lts.append(mod_leading(s, order)[0])
-        queue(len(basis) - 1)
+        lt = mod_leading(s, order)[0]
+        basis.append(_monic(s, lt))
+        lts.append(lt)
+        update(len(basis) - 1)
 
     return _mod_interreduce(basis, order, lts)
 
 
 def _mod_interreduce(basis, order: ModuleOrder, lts):
-    """Inter-reduced, monic, sorted basis; ``lts`` are the elements' leading monomials."""
-    changed = True
-    while changed:
-        changed = False
-        for idx in range(len(basis)):
-            others = basis[:idx] + basis[idx + 1 :]
-            other_lts = lts[:idx] + lts[idx + 1 :]
-            red = mod_normal_form(basis[idx], others, order, other_lts)
-            if not red:
-                basis, lts = others, other_lts
-                changed = True
-                break
-            if red != basis[idx]:
-                basis[idx] = red
-                lts[idx] = mod_leading(red, order)[0]
-                changed = True
-    pairs = sorted(zip(basis, lts), key=lambda pair: order.key(pair[1]))
-    return [{k: c / g[lt] for k, c in g.items()} for g, lt in pairs]
+    """Reduced, sorted basis from a monic one; ``lts`` are the leading monomials.
+
+    Elements whose leading monomial a smaller one divides are dropped; the
+    rest keep their leading terms, and each is reduced by the others.
+    """
+    kept, kept_lts = [], []
+    for g, lt in sorted(zip(basis, lts), key=lambda pair: order[pair[1]]):
+        comp, exp = lt
+        if not any(c == comp and exp_divides(e, exp) for c, e in kept_lts):
+            kept.append(g)
+            kept_lts.append(lt)
+    return [
+        mod_normal_form(g, kept[:i] + kept[i + 1 :], order, kept_lts[:i] + kept_lts[i + 1 :])
+        for i, g in enumerate(kept)
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,8 @@ Their Groebner bases come from the one engine in ``groebner``
 (``module_buchberger``, ``mod_normal_form``, ``ModuleOrder``), of which a
 polynomial ideal is the rank-1 case.  The engine applies the coprime-lcm
 criterion only when every input element lies in one component; a module
-spread over several components gets the chain criterion alone.
+spread over several components gets the Gebauer-Moller criteria alone.
+Membership tests reduce by monic bases, which is what the engine returns.
 
 The position-over-term order puts lower component indices above everything
 else, so a reduced basis whose leading components sit past the first p

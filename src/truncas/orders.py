@@ -8,11 +8,21 @@ front block beats every monomial supported on the back block alone.
 
 from __future__ import annotations
 
-from .series import total_degree
+from operator import itemgetter, neg
 
 
 def _grevlex_key(exp):
-    return (total_degree(exp), tuple(-e for e in reversed(exp)))
+    return (sum(exp), tuple(map(neg, reversed(exp))))
+
+
+def _picker(indices):
+    """Function taking an exponent to the tuple of its entries at ``indices``."""
+    if len(indices) == 1:
+        (i,) = indices
+        return lambda exp: (exp[i],)
+    if not indices:
+        return lambda exp: ()
+    return itemgetter(*indices)
 
 
 class Grevlex:
@@ -44,11 +54,11 @@ class BlockOrder:
         self.front = tuple(sorted(front_indices))
         fset = set(self.front)
         self.back = tuple(i for i in range(nvars) if i not in fset)
+        self._front_of = _picker(self.front)
+        self._back_of = _picker(self.back)
 
     def key(self, exp):
-        fe = tuple(exp[i] for i in self.front)
-        be = tuple(exp[i] for i in self.back)
-        return (_grevlex_key(fe), _grevlex_key(be))
+        return (_grevlex_key(self._front_of(exp)), _grevlex_key(self._back_of(exp)))
 
     def __repr__(self):
         return f"block(front={self.front})"

@@ -344,3 +344,111 @@ class FieldRowReducer:
 
     def canonical_rows(self):
         return [dict(self.pivots[c]) for c in sorted(self.pivots)]
+
+
+# ---------------------------------------------------------------------------
+# textbook Buchberger on free-module elements
+
+
+def _lead(elem, order):
+    return max(elem, key=order.key)
+
+
+def _divides(a, b):
+    return all(x <= y for x, y in zip(a, b))
+
+
+def textbook_mod_normal_form(elem, basis, order):
+    """Remainder of ``elem`` on division by ``basis``, dividing by the leading coefficient."""
+    work = dict(elem)
+    out = {}
+    while work:
+        mono = _lead(work, order)
+        coeff = work.pop(mono)
+        comp, exp = mono
+        for g in basis:
+            lt_comp, lt_exp = _lead(g, order)
+            if lt_comp == comp and _divides(lt_exp, exp):
+                factor = coeff / g[(lt_comp, lt_exp)]
+                shift = tuple(x - y for x, y in zip(exp, lt_exp))
+                for (c2, e2), v in g.items():
+                    key = (c2, tuple(x + y for x, y in zip(e2, shift)))
+                    if key == mono:
+                        continue
+                    cur = work.get(key)
+                    nxt = -(factor * v) if cur is None else cur - factor * v
+                    if nxt:
+                        work[key] = nxt
+                    elif cur is not None:
+                        del work[key]
+                break
+        else:
+            out[mono] = coeff
+    return out
+
+
+def textbook_module_buchberger(elements, order):
+    """Reduced Groebner basis by plain Buchberger with the chain criterion.
+
+    Pairs are formed between elements with equal leading components and
+    taken smallest lcm first.  A pair (i, j) is skipped when some third
+    element's leading monomial divides the lcm and neither (i, k) nor (j, k)
+    is still pending.  Every S-vector divides by both leading coefficients.
+    The result is inter-reduced, monic and sorted by leading monomial.
+    """
+    basis = [dict(e) for e in elements if e]
+    pending = set()
+    for j in range(len(basis)):
+        for i in range(j):
+            if _lead(basis[i], order)[0] == _lead(basis[j], order)[0]:
+                pending.add((i, j))
+
+    def lcm_of(i, j):
+        (comp, ei), (_, ej) = _lead(basis[i], order), _lead(basis[j], order)
+        return comp, tuple(max(x, y) for x, y in zip(ei, ej))
+
+    while pending:
+        i, j = min(pending, key=lambda pair: (order.key(lcm_of(*pair)), pair))
+        pending.remove((i, j))
+        comp, lcm = lcm_of(i, j)
+        chain = any(
+            k not in (i, j)
+            and _lead(basis[k], order)[0] == comp
+            and _divides(_lead(basis[k], order)[1], lcm)
+            and (min(i, k), max(i, k)) not in pending
+            and (min(j, k), max(j, k)) not in pending
+            for k in range(len(basis))
+        )
+        if chain:
+            continue
+        s = {}
+        for g, sign in ((basis[i], 1), (basis[j], -1)):
+            lt = _lead(g, order)
+            shift = tuple(x - y for x, y in zip(lcm, lt[1]))
+            for (c, e), v in g.items():
+                key = (c, tuple(x + y for x, y in zip(e, shift)))
+                term = v / g[lt] if sign > 0 else -(v / g[lt])
+                if key in s:
+                    term = s.pop(key) + term
+                if term:
+                    s[key] = term
+        s = textbook_mod_normal_form(s, basis, order)
+        if s:
+            basis.append(s)
+            new_comp = _lead(s, order)[0]
+            for k in range(len(basis) - 1):
+                if _lead(basis[k], order)[0] == new_comp:
+                    pending.add((k, len(basis) - 1))
+
+    reduced = True
+    while reduced:
+        reduced = False
+        for idx, g in enumerate(basis):
+            others = basis[:idx] + basis[idx + 1 :]
+            red = textbook_mod_normal_form(g, others, order)
+            if red != g:
+                basis = others if not red else others[:idx] + [red] + others[idx:]
+                reduced = True
+                break
+    basis.sort(key=lambda g: order.key(_lead(g, order)))
+    return [{k: v / g[_lead(g, order)] for k, v in g.items()} for g in basis]

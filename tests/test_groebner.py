@@ -2,6 +2,8 @@
 
 import random
 from fractions import Fraction
+from functools import cmp_to_key
+from operator import add
 
 import pytest
 from hypothesis import given, settings
@@ -10,16 +12,20 @@ from hypothesis import strategies as st
 from truncas.fields import QQ, PrimeField
 from truncas.groebner import (
     GroebnerBasis,
+    ModuleOrder,
     PolyIdeal,
     buchberger,
     eliminate_ideal,
     ideal_low_degree_space,
     ideals_equal,
     leading_term,
+    module_buchberger,
     subspace_column_ranks,
     truncated_completion_elimination,
     truncated_multiple_rows,
+    vec_to_elem,
 )
+from truncas.modules import module_contains
 from truncas.linalg import spans_equal
 from truncas.orders import GREVLEX, LEX, BlockOrder
 from truncas.series import (
@@ -32,7 +38,11 @@ from truncas.series import (
     total_degree,
 )
 
-from oracles import textbook_truncated_multiple_rows
+from oracles import (
+    textbook_mod_normal_form,
+    textbook_module_buchberger,
+    textbook_truncated_multiple_rows,
+)
 
 RXY = Ring(QQ, ("x1", "y"), nx=1)
 RX = Ring(QQ, ("x1",))
@@ -211,6 +221,39 @@ def test_block_order_front_dominates():
             assert order.key(ft) > order.key(bo)
 
 
+def _grevlex_cmp(a, b):
+    """Higher degree wins; at equal degree, the smaller last differing entry wins."""
+    if sum(a) != sum(b):
+        return sum(a) - sum(b)
+    diff = [x - y for x, y in zip(a, b) if x != y]
+    return -diff[-1] if diff else 0
+
+
+def _lex_cmp(a, b):
+    diff = [x - y for x, y in zip(a, b) if x != y]
+    return diff[0] if diff else 0
+
+
+def _block_cmp(front):
+    back = [i for i in range(3) if i not in front]
+
+    def cmp(a, b):
+        head = _grevlex_cmp([a[i] for i in front], [b[i] for i in front])
+        return head or _grevlex_cmp([a[i] for i in back], [b[i] for i in back])
+
+    return cmp
+
+
+@pytest.mark.parametrize(
+    "order,cmp",
+    [(GREVLEX, _grevlex_cmp), (LEX, _lex_cmp)]
+    + [(BlockOrder(front, 3), _block_cmp(front)) for front in ([], [1], [0, 2], [0, 1, 2])],
+)
+def test_order_keys_sort_as_defined(order, cmp):
+    exps = list(iter_exponents(3, 6))
+    assert sorted(exps, key=order.key) == sorted(exps, key=cmp_to_key(cmp))
+
+
 def test_reduced_basis_is_a_fixed_point():
     f = poly(RXY, {(0, 1): 1, (1, 0): -1})
     g = poly(RXY, {(0, 2): 1})
@@ -288,3 +331,72 @@ def test_row_builder_matches_textbook_oracle(case):
     rows = truncated_multiple_rows(gens, below, rank_of, labels)
     assert rows == textbook_truncated_multiple_rows(gens, below, rank_of, oracle_labels)
     assert labels == oracle_labels
+
+
+# ---------------------------------------------------------------------------
+# the engine against plain Buchberger with the chain criterion
+
+ENGINE_SETTINGS = settings(max_examples=200, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def engine_cases(draw):
+    """(elements, order factory, queries): ideals, rank-2 modules or tag constructions."""
+    field = draw(st.sampled_from([QQ, PrimeField(7)]))
+    kind = draw(st.sampled_from(["ideal", "module", "tag"]))
+    n = draw(st.integers(1, 3))
+    rank = 1 if kind == "ideal" else draw(st.integers(1, 2))
+    coeff = st.sampled_from([-3, -2, -1, 1, 2, 3]).map(field)
+    exps = st.sampled_from(list(iter_exponents(n, 4)))
+    monos = st.tuples(st.integers(0, rank - 1), exps)
+
+    def elements(count):
+        return [draw(st.dictionaries(monos, coeff, min_size=1, max_size=4)) for _ in range(count)]
+
+    gens = elements(draw(st.integers(1, 4)))
+    queries = elements(draw(st.integers(1, 3)))
+    if kind == "ideal":
+        order = draw(st.sampled_from(["grevlex", "lex", "block"]))
+        front = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True))
+
+        def make_order():
+            term = {"grevlex": GREVLEX, "lex": LEX, "block": BlockOrder(front, n)}[order]
+            return ModuleOrder(term)
+
+    elif kind == "module":
+        def make_order():
+            return ModuleOrder()
+
+    else:
+        # module_intersection's construction: t*a for a in A, (1 - t)*b for b in B
+        split = draw(st.integers(0, len(gens)))
+        tagged = [{(c, e + (1,)): v for (c, e), v in g.items()} for g in gens[:split]]
+        for g in gens[split:]:
+            elem = {(c, e + (0,)): v for (c, e), v in g.items()}
+            elem.update({(c, e + (1,)): -v for (c, e), v in g.items()})
+            tagged.append(elem)
+        gens = tagged
+        queries = [{(c, e + (0,)): v for (c, e), v in q.items()} for q in queries]
+
+        def make_order():
+            return ModuleOrder(tag_index=n)
+
+    # a member among the queries: a generator times a monomial in the first n variables
+    shift = draw(exps) + (0,) * (kind == "tag")
+    pick = draw(st.sampled_from(gens))
+    queries.append({(c, tuple(map(add, e, shift))): v for (c, e), v in pick.items()})
+    return gens, make_order, queries
+
+
+@ENGINE_SETTINGS
+@given(engine_cases())
+def test_module_buchberger_matches_textbook_oracle(case):
+    gens, make_order, queries = case
+    order, oracle_order = make_order(), make_order()
+    gb = module_buchberger(gens, order)
+    expected = textbook_module_buchberger(gens, oracle_order)
+    assert gb == expected
+    for q in queries:
+        assert module_contains(gb, order, q) == (
+            not textbook_mod_normal_form(q, expected, oracle_order)
+        )
