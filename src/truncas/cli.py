@@ -16,10 +16,10 @@ from .errors import ProblemSyntaxError, TruncasError
 from .groebner import (
     eliminate_ideal,
     ideal_low_degree_space,
+    same_span_below,
     truncated_completion_elimination,
 )
 from .hensel import lift_with_steps
-from .linalg import spans_equal
 from .modules import (
     chevalley_beta,
     module_intersect_zero_block,
@@ -41,7 +41,7 @@ from .nested import (
     solve_nested,
     weierstrass_divide,
 )
-from .series import Polynomial, TruncatedSeries, format_terms, iter_exponents
+from .series import Polynomial, TruncatedSeries, format_terms
 from .textio import ProblemFile, parse_problem
 
 
@@ -83,6 +83,13 @@ def _args(task_args, count, verb):
     if len(task_args) != count:
         raise TruncasError(f"task {verb} expects {count} argument(s)")
     return task_args
+
+
+def _int_arg(token: str, verb: str) -> int:
+    try:
+        return int(token)
+    except ValueError:
+        raise TruncasError(f"task {verb} expects an integer block size, got {token!r}") from None
 
 
 def _series_at(problem: ProblemFile, name: str, order: int) -> TruncatedSeries:
@@ -218,25 +225,14 @@ def run(problem: ProblemFile, working_order=None, mode=None) -> Report:
             )
             for i, b in enumerate(basis):
                 rep.poly(f"truncated[{i}]", b)
-            kept_rank = {
-                e: i for i, e in enumerate(iter_exponents(elim.ring.nvars, c))
-            }
-            exact_rows = [
-                {kept_rank[e]: v for e, v in g.terms.items()}
-                for g in ideal_low_degree_space(elim, c)
-            ]
-            cand_rows = [
-                {kept_rank[e]: v for e, v in g.terms.items()} for g in basis
-            ]
-            same = spans_equal(exact_rows, cand_rows, problem.field_obj)
+            same = same_span_below(ideal_low_degree_space(elim, c), basis, elim.ring, c)
             rep.add(f"matches exact elimination below order {c}: " + ("yes" if same else "no"))
         return rep
 
     if verb == "intersect-module":
         name, p_str = _args(args, 2, verb)
         module = problem.obj(name, {"module"})
-        p = int(p_str)
-        result = module_intersect_zero_block(module, p)
+        result = module_intersect_zero_block(module, _int_arg(p_str, verb))
         rep.add("status: OK")
         rep.add(f"generators: {len(result.gens)}")
         for i, vec in enumerate(result.gens):
@@ -246,7 +242,7 @@ def run(problem: ProblemFile, working_order=None, mode=None) -> Report:
     if verb == "idealize":
         name, p_str = _args(args, 2, verb)
         module = problem.obj(name, {"module"})
-        ideal = nagata_idealize(module, int(p_str))
+        ideal = nagata_idealize(module, _int_arg(p_str, verb))
         rep.add("status: OK")
         rep.add("ring: " + " ".join(ideal.ring.names))
         rep.add(f"generators: {len(ideal.gens)}")
@@ -257,7 +253,7 @@ def run(problem: ProblemFile, working_order=None, mode=None) -> Report:
     if verb == "chevalley":
         name, p_str = _args(args, 2, verb)
         module = problem.obj(name, {"module"})
-        p = int(p_str)
+        p = _int_arg(p_str, verb)
         use_mode = mode or "exact"
         rep.add(f"mode: {use_mode}")
         rep.add("status: OK")
@@ -283,9 +279,7 @@ def run(problem: ProblemFile, working_order=None, mode=None) -> Report:
     if verb == "kernel":
         (name,) = _args(args, 1, verb)
         phi = problem.obj(name, {"morphism"})
-        cprimes = None
-        if working_order is not None:
-            cprimes = _schedule(c, working_order)
+        cprimes = None if working_order is None else _schedule(c, working_order)
         report = truncated_completion_kernel(phi, c, cprimes)
         rep.add("status: OK")
         rep.add(f"order: {c}")
@@ -303,9 +297,7 @@ def run(problem: ProblemFile, working_order=None, mode=None) -> Report:
     if verb == "check-injective":
         (name,) = _args(args, 1, verb)
         phi = problem.obj(name, {"morphism"})
-        cprimes = None
-        if working_order is not None:
-            cprimes = _schedule(c, working_order)
+        cprimes = None if working_order is None else _schedule(c, working_order)
         result = check_strong_injectivity(phi, c, cprimes)
         rep.add("status: " + ("EQUAL" if result.equal else "UNEQUAL"))
         rep.add(f"order: {c}")
@@ -374,6 +366,8 @@ def main(argv=None) -> int:
             if opts.order < 1:
                 raise TruncasError("order must be positive")
             problem.precision = opts.order
+        if opts.working_order is not None and opts.working_order < 1:
+            raise TruncasError("working order must be positive")
         report = run(problem, working_order=opts.working_order, mode=opts.mode)
     except ProblemSyntaxError as exc:
         print(f"error: {exc}", file=sys.stderr)

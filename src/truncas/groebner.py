@@ -36,7 +36,7 @@ from heapq import heappop, heappush
 from operator import add, le
 
 from .errors import TruncasError
-from .linalg import RowReducer
+from .linalg import span_reducer, spans_equal
 from .orders import GREVLEX, BlockOrder
 from .series import (
     Polynomial,
@@ -369,9 +369,7 @@ def ideal_low_degree_space(ideal: PolyIdeal, c: int):
         nf = gb.normal_form(Polynomial(ring, {e: ring.field.one}, clean=False))
         for mu, coeff in nf.terms.items():
             rows.setdefault(mu, {})[col_of[e]] = coeff
-    red = RowReducer(ring.field)
-    for mu in sorted(rows, key=canonical_exp_key):
-        red.add(rows[mu])
+    red = span_reducer([rows[mu] for mu in sorted(rows, key=canonical_exp_key)], ring.field)
     basis = []
     for vec in red.nullspace_basis(range(len(monos))):
         terms = {monos[col]: v for col, v in vec.items()}
@@ -422,15 +420,40 @@ def _element(c):
     return c
 
 
-def subspace_column_ranks(ring: Ring, cprime: int, keep_pred):
-    """Rank all monomials below cprime, the kept ones last in canonical order."""
+def subspace_column_ranks(ring: Ring, c: int, cprime: int):
+    """Rank every monomial below cprime with the kept block last.
+
+    The kept block is the monomials of degree < c in the first ``ring.nx``
+    variables; both it and the other monomials keep the canonical order.
+    Returns the rank map, the first kept rank and ``{kept rank: monomial cut
+    to the first block}``.  Restricted to the monomials below a smaller
+    working order, the ranking keeps their relative order and the kept block
+    last, and a fully reduced echelon form depends only on the relative
+    order of the columns, so one ranking at the largest working order of a
+    schedule serves every order in it.
+    """
+    nx = ring.nx
     others, kept = [], []
     for e in iter_exponents(ring.nvars, cprime):
-        (kept if keep_pred(e) else others).append(e)
-    rank_of = {}
-    for rank, e in enumerate(others + kept):
-        rank_of[e] = rank
-    return rank_of, len(others), kept
+        (kept if total_degree(e) < c and not any(e[nx:]) else others).append(e)
+    rank_of = {e: rank for rank, e in enumerate(others + kept)}
+    first_kept = len(others)
+    return rank_of, first_kept, {first_kept + i: e[:nx] for i, e in enumerate(kept)}
+
+
+def same_span_below(a, b, ring: Ring, c: int, modulo=()) -> bool:
+    """Whether polynomials ``a`` and ``b`` of degree < c span the same space.
+
+    The spans are compared modulo the truncations below c of the multiples
+    of the polynomials ``modulo``.
+    """
+    rank_of = {e: i for i, e in enumerate(iter_exponents(ring.nvars, c))}
+    extra = truncated_multiple_rows(modulo, c, rank_of)
+
+    def rows(polys):
+        return [{rank_of[e]: v for e, v in p.terms.items()} for p in polys] + extra
+
+    return spans_equal(rows(a), rows(b), ring.field)
 
 
 def truncated_completion_elimination(ideal: PolyIdeal, c: int, cprime: int):
@@ -445,21 +468,11 @@ def truncated_completion_elimination(ideal: PolyIdeal, c: int, cprime: int):
     ring = ideal.ring
     if ring.nx is None:
         raise TruncasError("ring has no block split")
-    nx = ring.nx
-
-    def keep(e):
-        return total_degree(e) < c and all(x == 0 for x in e[nx:])
-
-    rank_of, n_others, kept = subspace_column_ranks(ring, cprime, keep)
-    rows = truncated_multiple_rows(ideal.gens, cprime, rank_of)
-    red = RowReducer(ring.field)
-    for row in rows:
-        red.add(row)
-    sub = ring.restrict(nx)
-    inv_rank = {rank_of[e]: e for e in kept}
-    out = []
-    for pcol in sorted(red.pivots):
-        if pcol >= n_others:
-            terms = {inv_rank[col][:nx]: v for col, v in red.row(pcol).items()}
-            out.append(Polynomial(sub, terms, clean=False))
-    return out
+    rank_of, first_kept, kept = subspace_column_ranks(ring, c, cprime)
+    red = span_reducer(truncated_multiple_rows(ideal.gens, cprime, rank_of), ring.field)
+    sub = ring.restrict(ring.nx)
+    return [
+        Polynomial(sub, {kept[col]: v for col, v in red.row(p).items()}, clean=False)
+        for p in sorted(red.pivots)
+        if p >= first_kept
+    ]

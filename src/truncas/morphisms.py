@@ -13,6 +13,10 @@ are exactly the members of the span of truncated generator multiples that
 are supported on low-degree x-monomials.  Row reduction with those monomial
 columns ranked last reads the space off directly, and the same reduction
 delivers canonical preimage representatives.
+
+A schedule of working orders shares one column ranking, built at its largest
+order (``subspace_column_ranks`` says why that is exact), so each working
+order only reduces the multiples below it.
 """
 
 from __future__ import annotations
@@ -29,10 +33,11 @@ from .groebner import (
     PolyIdeal,
     buchberger,
     ideal_low_degree_space,
+    same_span_below,
     subspace_column_ranks,
     truncated_multiple_rows,
 )
-from .linalg import RowReducer, spans_equal
+from .linalg import RowReducer, span_reducer
 from .orders import GREVLEX, BlockOrder
 from .series import (
     Polynomial,
@@ -40,7 +45,6 @@ from .series import (
     TruncatedSeries,
     iter_exponents,
     substitute,
-    total_degree,
 )
 
 
@@ -102,22 +106,13 @@ class AlgebraMorphism:
             g.as_series(order) if isinstance(g, Polynomial) else g.truncate(order)
             for g in self.images
         ]
-        red, rank_of = _membership_reducer(j_gens, self.target, order)
+        rank_of = {e: i for i, e in enumerate(iter_exponents(self.target.nvars, order))}
+        red = span_reducer(truncated_multiple_rows(j_gens, order, rank_of), self.field)
         for g in self.I.gens:
             value = substitute(g, series_images)
-            row = {rank_of[e]: c for e, c in value.terms.items()}
-            if not red.member(row):
+            if not red.member({rank_of[e]: c for e, c in value.terms.items()}):
                 return False
         return True
-
-
-def _membership_reducer(gens, ring: Ring, order: int):
-    rank_of = {e: idx for idx, e in enumerate(iter_exponents(ring.nvars, order))}
-    rows = truncated_multiple_rows(gens, order, rank_of)
-    red = RowReducer(ring.field)
-    for row in rows:
-        red.add(row)
-    return red, rank_of
 
 
 # ---------------------------------------------------------------------------
@@ -198,43 +193,6 @@ class KernelReport:
     dimensions: list = field(default_factory=list)
 
 
-def _candidate_space(phi: AlgebraMorphism, c: int, cprime: int):
-    """Canonical basis of the feasible-f space modulo truncations of I."""
-    big = _combined_ring(phi)
-    n = phi.source.nvars
-
-    def keep(e):
-        return total_degree(e) < c and all(x == 0 for x in e[n:])
-
-    rank_of, n_others, kept = subspace_column_ranks(big, cprime, keep)
-    gens = _graph_generators(phi, big, order=cprime)
-    rows = truncated_multiple_rows(gens, cprime, rank_of)
-    red = RowReducer(phi.field)
-    # truncations of I first, so candidate representatives are reduced mod I
-    i_rows = []
-    if phi.I is not None:
-        pad = (0,) * (big.nvars - n)
-        pad_rank = {e: rank_of[e + pad] for e in iter_exponents(n, c)}
-        i_rows = truncated_multiple_rows(phi.I.gens, c, pad_rank)
-        for row in i_rows:
-            red.add(row)
-    for row in rows:
-        red.add(row)
-    basis = []
-    inv_rank = {rank_of[e]: e for e in kept}
-    pivots_in_keep = [p for p in sorted(red.pivots) if p >= n_others]
-    i_red = RowReducer(phi.field)
-    for row in i_rows:
-        i_red.add(row)
-    for pcol in pivots_in_keep:
-        row = red.row(pcol)
-        if i_red.member(row):
-            continue  # already a truncation of I
-        terms = {inv_rank[col][:n]: v for col, v in row.items()}
-        basis.append(Polynomial(phi.source, terms, clean=False))
-    return basis, i_rows, kept, {e: rank_of[e] for e in kept}
-
-
 def truncated_completion_kernel(
     phi: AlgebraMorphism, c: int, cprimes=None
 ) -> KernelReport:
@@ -252,26 +210,30 @@ def truncated_completion_kernel(
     if not phi.images_known_to(cprimes[-1]):
         raise PrecisionTooLow("images are not known to the largest working order")
 
-    kept_rank = {e: i for i, e in enumerate(iter_exponents(phi.source.nvars, c))}
-    spans = []
+    big = _combined_ring(phi)
+    rank_of, first_kept, kept = subspace_column_ranks(big, c, cprimes[-1])
+    gens = _graph_generators(phi, big, order=cprimes[-1])
+    i_gens = [] if phi.I is None else phi.I.gens
+    # truncations of I go in first, so candidate representatives are reduced mod I
+    i_rows = truncated_multiple_rows(i_gens, c, {e: r for r, e in kept.items()})
+    i_red = span_reducer(i_rows, phi.field)
     bases = []
-    dims = []
     for cp in cprimes:
-        basis, i_rows, kept, _ = _candidate_space(phi, c, cp)
-        rows = [
-            {kept_rank[e]: coeff for e, coeff in b.terms.items()} for b in basis
-        ]
-        i_rows_local = []
-        if phi.I is not None:
-            i_rows_local = truncated_multiple_rows(phi.I.gens, c, kept_rank)
-        spans.append(rows + i_rows_local)
+        red = span_reducer(i_rows + truncated_multiple_rows(gens, cp, rank_of), phi.field)
+        basis = []
+        for p in sorted(red.pivots):
+            if p < first_kept:
+                continue
+            row = red.row(p)
+            if not i_red.member(row):  # else already a truncation of I
+                terms = {kept[col]: v for col, v in row.items()}
+                basis.append(Polynomial(phi.source, terms, clean=False))
         bases.append(basis)
-        dims.append(len(basis))
-    stabilized = len(spans) >= 2 and spans_equal(spans[-1], spans[-2], phi.field)
+    stabilized = len(bases) >= 2 and same_span_below(bases[-1], bases[-2], phi.source, c, i_gens)
     exact = None
     if phi.polynomial_images():
         exact = kernel_exact(phi)
-    return KernelReport(c, cprimes, bases[-1], stabilized, exact, dims)
+    return KernelReport(c, cprimes, bases[-1], stabilized, exact, [len(b) for b in bases])
 
 
 def kernel_certificate(phi: AlgebraMorphism, f: Polynomial, cprime: int):
@@ -329,19 +291,9 @@ def check_strong_injectivity(
     exact = report.exact_kernel
     if exact is None:
         exact = kernel_exact(phi)
-    kept_rank = {e: i for i, e in enumerate(iter_exponents(phi.source.nvars, c))}
-    exact_rows = [
-        {kept_rank[e]: coeff for e, coeff in g.terms.items()}
-        for g in ideal_low_degree_space(exact, c)
-    ]
-    cand_rows = [
-        {kept_rank[e]: coeff for e, coeff in b.terms.items()}
-        for b in report.candidate_basis
-    ]
-    i_rows = []
-    if phi.I is not None:
-        i_rows = truncated_multiple_rows(phi.I.gens, c, kept_rank)
-    equal = spans_equal(cand_rows + i_rows, exact_rows + i_rows, phi.field)
+    i_gens = [] if phi.I is None else phi.I.gens
+    low = ideal_low_degree_space(exact, c)
+    equal = same_span_below(report.candidate_basis, low, phi.source, c, i_gens)
     return InjectivityReport(
         c, report.cprimes, report.stabilized, equal, exact, report.candidate_basis
     )
@@ -355,32 +307,18 @@ def preimage(phi: AlgebraMorphism, b, c: int):
     against the span of truncated generator multiples, so it is independent
     of everything but the input data.
     """
+    if isinstance(b, TruncatedSeries) and b.known_order < c:
+        raise PrecisionTooLow("preimage target not known to the working order")
+    if b.ring != phi.target:
+        raise TruncasError("preimage target must live in the target ring")
     big = _combined_ring(phi)
     n = phi.source.nvars
-    if isinstance(b, TruncatedSeries):
-        if b.known_order < c:
-            raise PrecisionTooLow("preimage target not known to the working order")
-        if b.ring != phi.target:
-            raise TruncasError("preimage target must live in the target ring")
-        b_big = TruncatedSeries(big, {_pad_exp(e, n): v for e, v in b.terms.items()}, c)
-    else:
-        if b.ring != phi.target:
-            raise TruncasError("preimage target must live in the target ring")
-        b_big = b.map_ring(big, list(range(n, big.nvars))).as_series(c)
-
-    def keep(e):
-        return all(x == 0 for x in e[n:])
-
-    rank_of, n_others, kept = subspace_column_ranks(big, c, keep)
+    # every source monomial below c is kept: f is read off the x-only columns
+    rank_of, first_kept, kept = subspace_column_ranks(big, c, c)
     gens = _graph_generators(phi, big, order=c)
-    rows = truncated_multiple_rows(gens, c, rank_of)
-    red = RowReducer(phi.field)
-    for row in rows:
-        red.add(row)
-    target = {rank_of[e]: v for e, v in b_big.terms.items()}
+    red = span_reducer(truncated_multiple_rows(gens, c, rank_of), phi.field)
+    target = {rank_of[_pad_exp(e, n)]: v for e, v in b.terms.items() if sum(e) < c}
     nf, _, _ = red.reduce(target)
-    if any(col < n_others for col in nf):
+    if any(col < first_kept for col in nf):
         return None
-    inv_rank = {rank_of[e]: e for e in kept}
-    terms = {inv_rank[col][:n]: v for col, v in nf.items()}
-    return TruncatedSeries(phi.source, terms, c)
+    return TruncatedSeries(phi.source, {kept[col]: v for col, v in nf.items()}, c)

@@ -7,6 +7,8 @@ The system is the one ``check-injective`` builds for the cusp
 x1 -> y^2, x2 -> y^3 at target order 4 and working order 16: the graph
 generators x1 - y^2 and x2 - y^3 over Q[x1, x2, y], every monomial below 16
 as a column, and the x-only monomials below 4 ranked last (the kept block).
+The last case runs the whole ``kernel`` comparator on the same morphism over
+the schedule 12, 14, 16, which shares one ranking across the three orders.
 """
 
 from fractions import Fraction
@@ -14,7 +16,8 @@ from fractions import Fraction
 from truncas.fields import QQ
 from truncas.groebner import subspace_column_ranks, truncated_multiple_rows
 from truncas.linalg import RowReducer
-from truncas.series import Polynomial, Ring, total_degree
+from truncas.morphisms import AlgebraMorphism, truncated_completion_kernel
+from truncas.series import Polynomial, Ring
 
 TARGET_ORDER = 4
 WORKING_ORDER = 16
@@ -24,12 +27,7 @@ GENS = [
     Polynomial(RING, {(0, 1, 0): Fraction(1), (0, 0, 3): Fraction(-1)}),
 ]
 
-
-def _keep(e):
-    return total_degree(e) < TARGET_ORDER and e[2] == 0
-
-
-RANK_OF, N_OTHERS, _ = subspace_column_ranks(RING, WORKING_ORDER, _keep)
+RANK_OF, FIRST_KEPT, _ = subspace_column_ranks(RING, TARGET_ORDER, WORKING_ORDER)
 ROWS = truncated_multiple_rows(GENS, WORKING_ORDER, RANK_OF)
 
 
@@ -38,7 +36,7 @@ def insert_and_read_kept():
     red = RowReducer(QQ)
     for row in ROWS:
         red.add(row)
-    return [red.row(p) for p in sorted(red.pivots) if p >= N_OTHERS]
+    return [red.row(p) for p in sorted(red.pivots) if p >= FIRST_KEPT]
 
 
 def test_reducer_insert_and_kept_read(benchmark):
@@ -50,3 +48,11 @@ def test_reducer_insert_and_kept_read(benchmark):
 def test_truncated_multiple_rows(benchmark):
     rows = benchmark(truncated_multiple_rows, GENS, WORKING_ORDER, RANK_OF)
     assert rows == ROWS
+
+
+def test_cusp_kernel_schedule(benchmark):
+    y = Ring(QQ, ("y",))
+    yy = y.variable(0)
+    phi = AlgebraMorphism(Ring(QQ, ("x1", "x2")), y, [yy * yy, yy * yy * yy])
+    rep = benchmark(truncated_completion_kernel, phi, TARGET_ORDER, [12, 14, WORKING_ORDER])
+    assert rep.stabilized and rep.dimensions == [1, 1, 1]

@@ -7,7 +7,8 @@ that agreement with the package is evidence and not circularity.
 
 from fractions import Fraction
 
-from truncas.series import TruncatedSeries, iter_exponents, total_degree
+from truncas.morphisms import _combined_ring, _graph_generators
+from truncas.series import Polynomial, TruncatedSeries, iter_exponents, total_degree
 
 
 def naive_convolution(f_terms, g_terms, below):
@@ -80,6 +81,91 @@ def textbook_truncated_multiple_rows(gens, below, rank_of, labels=None):
                     if labels is not None:
                         labels.append((gi, m))
     return rows
+
+
+def _x_columns_last(ring, nx, c, cprime):
+    """Rank every monomial below cprime, x-only ones of degree < c last.
+
+    Returns the rank map and the first rank of the x-only block.
+    """
+    others, kept = [], []
+    for e in iter_exponents(ring.nvars, cprime):
+        (kept if sum(e) < c and not any(e[nx:]) else others).append(e)
+    return {e: r for r, e in enumerate(others + kept)}, len(others)
+
+
+def per_order_candidate_space(phi, c, cprime):
+    """Candidate basis at one working order, from a ranking built for that order.
+
+    The truncations below c of the multiples of I go in first, then the
+    truncated multiples of the graph generators; the reduced rows in the
+    x-only block that are not truncations of I are the candidates.  The
+    graph generators come from the package; the ranking, the rows and the
+    reduction do not.
+    """
+    big = _combined_ring(phi)
+    n = phi.source.nvars
+    rank_of, first_kept = _x_columns_last(big, n, c, cprime)
+    pad = (0,) * (big.nvars - n)
+    i_gens = [] if phi.I is None else phi.I.gens
+    x_rank = {e: rank_of[e + pad] for e in iter_exponents(n, c)}
+    i_rows = textbook_truncated_multiple_rows(i_gens, c, x_rank)
+    gens = _graph_generators(phi, big, order=cprime)
+    red, i_red = FieldRowReducer(phi.field), FieldRowReducer(phi.field)
+    for row in i_rows + textbook_truncated_multiple_rows(gens, cprime, rank_of):
+        red.add(row)
+    for row in i_rows:
+        i_red.add(row)
+    x_of = {r: e[:n] for e, r in rank_of.items() if r >= first_kept}
+    basis = []
+    for pcol in sorted(red.pivots):
+        row = red.pivots[pcol]
+        if pcol >= first_kept and not i_red.member(row):
+            basis.append(Polynomial(phi.source, {x_of[col]: v for col, v in row.items()}))
+    return basis
+
+
+def same_span_modulo(a, b, ring, c, modulo):
+    """Whether a and b span one space modulo the truncations below c of modulo's multiples.
+
+    Decided by comparing the two reduced echelon forms, which are unique.
+    """
+    rank_of = {e: i for i, e in enumerate(iter_exponents(ring.nvars, c))}
+    extra = textbook_truncated_multiple_rows(modulo, c, rank_of)
+    forms = []
+    for polys in (a, b):
+        red = FieldRowReducer(ring.field)
+        for row in [{rank_of[e]: v for e, v in p.terms.items()} for p in polys] + extra:
+            red.add(row)
+        forms.append(red.canonical_rows())
+    return forms[0] == forms[1]
+
+
+def per_order_kernel(phi, c, cprimes):
+    """(candidate basis at the last order, dimensions, stabilized) order by order."""
+    bases = [per_order_candidate_space(phi, c, cp) for cp in cprimes]
+    i_gens = [] if phi.I is None else phi.I.gens
+    stabilized = len(bases) >= 2 and same_span_modulo(
+        bases[-1], bases[-2], phi.source, c, i_gens
+    )
+    return bases[-1], [len(b) for b in bases], stabilized
+
+
+def per_order_preimage(phi, b, c):
+    """Normal form of b against the truncated graph multiples, read off the x block."""
+    big = _combined_ring(phi)
+    n = phi.source.nvars
+    rank_of, first_kept = _x_columns_last(big, n, c, c)
+    red = FieldRowReducer(phi.field)
+    for row in textbook_truncated_multiple_rows(_graph_generators(phi, big, order=c), c, rank_of):
+        red.add(row)
+    pad = (0,) * n
+    target = {rank_of[pad + e]: v for e, v in b.terms.items() if sum(e) < c}
+    nf, _, _ = red.reduce(target)
+    if any(col < first_kept for col in nf):
+        return None
+    x_of = {r: e[:n] for e, r in rank_of.items()}
+    return TruncatedSeries(phi.source, {x_of[col]: v for col, v in nf.items()}, c)
 
 
 def geometric_series(order):

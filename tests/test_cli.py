@@ -110,6 +110,28 @@ def test_malformed_inputs_exit_one(text):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize(
+    "verb,ring,module",
+    [("chevalley", "x1", "(x1)"), ("intersect-module", "x1", "(x1, 1)"), ("idealize", "x1 ; y: yy", "(yy, x1)")],
+)
+def test_non_integer_block_size_exits_one(verb, ring, module):
+    text = f"field Q\nring x: {ring}\nprecision 2\nmodule M = {{ {module} }}\ntask {verb} M x1\n"
+    code, out, err = run_cli(["-"], stdin_text=text)
+    assert (code, out) == (1, "")
+    assert err == f"error: task {verb} expects an integer block size, got 'x1'\n"
+
+
+@pytest.mark.parametrize("value", ["0", "-2"])
+@pytest.mark.parametrize("case", ["kernel_fold", "chevalley_trunc"])
+def test_non_positive_working_order_exits_one(case, value):
+    argv = [os.path.join(GOLDEN_DIR, case + ".problem"), "--working-order", value]
+    if case == "chevalley_trunc":
+        argv += ["--mode", "truncated"]
+    code, out, err = run_cli(argv)
+    assert (code, out) == (1, "")
+    assert err == "error: working order must be positive\n"
+
+
 def test_undeclared_name_is_located():
     text = "field Q\nring x: x1\nprecision 4\nseries f = x1 - g\ntask order f\n"
     code, _, err = run_cli(["-"], stdin_text=text)

@@ -35,7 +35,6 @@ from truncas.series import (
     exp_lcm,
     exp_sub,
     iter_exponents,
-    total_degree,
 )
 
 from oracles import (
@@ -165,6 +164,24 @@ def test_ideal_low_degree_space_excludes_partial_truncations():
     rows = [{rank[e]: v for e, v in b.terms.items()} for b in basis]
     gen_row = {rank[(3, 0)]: Fraction(1), rank[(0, 2)]: Fraction(-1)}
     assert spans_equal(rows, [gen_row], QQ)
+
+
+@pytest.mark.parametrize("nx,ny", [(1, 1), (2, 1), (1, 2), (2, 2)])
+def test_column_ranking_restricts_across_a_schedule(nx, ny):
+    # below a smaller working order the largest order's ranking keeps the
+    # relative order of a ranking built there, with the kept block last
+    ring = Ring(QQ, ("x1", "x2", "y1", "y2")[: nx + ny], nx=nx)
+    c, top = 3, 8
+    top_rank, top_first, top_kept = subspace_column_ranks(ring, c, top)
+    for cprime in range(c, top + 1):
+        rank_of, first_kept, kept = subspace_column_ranks(ring, c, cprime)
+        assert sorted(rank_of, key=top_rank.get) == sorted(rank_of, key=rank_of.get)
+        assert {e for e, r in rank_of.items() if r >= first_kept} == {
+            e for e in rank_of if top_rank[e] >= top_first
+        }
+        assert list(kept.values()) == list(top_kept.values())
+        assert sorted(kept) == list(range(first_kept, len(rank_of)))
+    assert list(top_kept.values()) == list(iter_exponents(nx, c))
 
 
 @pytest.mark.parametrize(
@@ -313,13 +330,7 @@ def row_builder_cases(draw):
     if draw(st.booleans()):
         rank_of = {e: i for i, e in enumerate(iter_exponents(n, below))}
     else:
-        c = draw(st.integers(0, below))
-        nx = ring.nx
-
-        def keep(e):
-            return total_degree(e) < c and all(x == 0 for x in e[nx:])
-
-        rank_of = subspace_column_ranks(ring, below, keep)[0]
+        rank_of = subspace_column_ranks(ring, draw(st.integers(0, below)), below)[0]
     return gens, below, rank_of
 
 

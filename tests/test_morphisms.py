@@ -3,10 +3,12 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from truncas.errors import NonPolynomialImages, PrecisionTooLow
-from truncas.fields import QQ
-from truncas.groebner import PolyIdeal, ideals_equal
+from truncas.fields import QQ, PrimeField
+from truncas.groebner import PolyIdeal, ideal_low_degree_space, ideals_equal
 from truncas.linalg import spans_equal
 from truncas.morphisms import (
     AlgebraMorphism,
@@ -25,7 +27,12 @@ from truncas.series import (
     total_degree,
 )
 
-from oracles import textbook_compose
+from oracles import (
+    per_order_kernel,
+    per_order_preimage,
+    same_span_modulo,
+    textbook_compose,
+)
 
 RX1 = Ring(QQ, ("x1",))
 RX2 = Ring(QQ, ("x1", "x2"))
@@ -390,3 +397,64 @@ def test_truncated_kernel_quotient_reduces_representatives():
     assert red.member({rank[(1, 0)]: Fraction(1), rank[(0, 1)]: Fraction(-1)})
     assert red.member({rank[(1, 1)]: Fraction(1)})
     assert red.member({rank[(0, 2)]: Fraction(1)})
+
+
+# ---------------------------------------------------------------------------
+# the shared schedule ranking against a fresh ranking per working order
+
+ORACLE_SETTINGS = settings(max_examples=100, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def comparator_cases(draw):
+    """(phi, c, schedule, preimage target) over Q or F_7, with optional I and J."""
+    field = draw(st.sampled_from([QQ, PrimeField(7)]))
+    nx, ny = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    rx = Ring(field, tuple(f"x{i+1}" for i in range(nx)))
+    ry = Ring(field, tuple(f"y{i+1}" for i in range(ny)))
+    c = draw(st.integers(1, 3))
+    cprimes = draw(st.lists(st.integers(c, c + 2), min_size=1, max_size=3, unique=True))
+    coeff = st.integers(-2, 2).filter(bool).map(field)
+
+    def terms(ring, low, top):
+        exps = st.tuples(*[st.integers(0, top)] * ring.nvars)
+        exps = exps.filter(lambda e: low <= sum(e) < top)
+        return draw(st.dictionaries(exps, coeff, min_size=1, max_size=3))
+
+    known = max(cprimes) + draw(st.integers(0, 1))
+    series = draw(st.booleans())
+    images = [
+        TruncatedSeries(ry, terms(ry, 1, known), known) if series
+        else Polynomial(ry, terms(ry, 1, 4))
+        for _ in range(nx)
+    ]
+    I = J = None
+    if draw(st.booleans()):
+        I = PolyIdeal(rx, [Polynomial(rx, terms(rx, 1, 4)) for _ in range(draw(st.integers(1, 2)))])
+    if draw(st.booleans()):
+        J = PolyIdeal(ry, [Polynomial(ry, terms(ry, 1, 4)) for _ in range(draw(st.integers(1, 2)))])
+    phi = AlgebraMorphism(rx, ry, images, I=I, J=J)
+    b = Polynomial(ry, terms(ry, 0, c + 1))
+    if draw(st.booleans()):
+        b = b.as_series(c + draw(st.integers(0, 1)))
+    return phi, c, cprimes, b
+
+
+@ORACLE_SETTINGS
+@given(comparator_cases())
+def test_schedule_ranking_matches_per_order_oracle(case):
+    phi, c, cprimes, b = case
+    rep = truncated_completion_kernel(phi, c, cprimes)
+    basis, dims, stabilized = per_order_kernel(phi, c, sorted(cprimes))
+    assert [g.terms for g in rep.candidate_basis] == [g.terms for g in basis]
+    assert rep.dimensions == dims
+    assert rep.stabilized == stabilized
+    if phi.polynomial_images():
+        i_gens = [] if phi.I is None else phi.I.gens
+        exact_low = ideal_low_degree_space(kernel_exact(phi), c)
+        want = same_span_modulo(basis, exact_low, phi.source, c, i_gens)
+        assert check_strong_injectivity(phi, c, cprimes).equal == want
+    got, want = preimage(phi, b, c), per_order_preimage(phi, b, c)
+    assert (got is None) == (want is None)
+    if got is not None:
+        assert got.terms == want.terms and got.known_order == want.known_order
