@@ -1,5 +1,12 @@
 """Command-line driver: parse a problem file, dispatch, print a report.
 
+Every task is one row of ``TASKS``: a handler and the kind of each of its
+arguments.  ``run`` checks the argument count against the row, reads each
+argument through ``_arg`` (an ``int`` is a block size, any other kind a
+declaration of that kind, and a morphism must map I into J), then calls the
+handler.  ``main`` checks ``--working-order`` once for every task: it must
+be positive and at least the precision.
+
 Reports are plain text and byte-identical across runs for identical inputs;
 timing is printed only when requested so golden comparisons stay exact.
 Exit codes: 0 for a mathematical answer (including UNSOLVABLE and NONE),
@@ -11,8 +18,9 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from typing import NamedTuple
 
-from .errors import ProblemSyntaxError, TruncasError
+from .errors import TruncasError
 from .groebner import (
     eliminate_ideal,
     ideal_low_degree_space,
@@ -45,6 +53,10 @@ from .series import Polynomial, TruncatedSeries, format_terms
 from .textio import ProblemFile, parse_problem
 
 
+def _text(x) -> str:
+    return format_terms(x, order=x.known_order if isinstance(x, TruncatedSeries) else None)
+
+
 class Report:
     def __init__(self, verb: str):
         self.lines = [f"task: {verb}"]
@@ -52,283 +64,236 @@ class Report:
     def add(self, text: str = ""):
         self.lines.append(text)
 
-    def series(self, label: str, s):
-        self.lines.append(f"{label} = {format_terms(s, order=s.known_order)}")
+    def status(self, word: str, validity_order: int):
+        self.lines += [f"status: {word}", f"validity order: {validity_order}"]
 
-    def poly(self, label: str, p):
-        self.lines.append(f"{label} = {format_terms(p)}")
+    def item(self, label: str, x):
+        self.lines.append(f"{label} = {_text(x)}")
 
-    def vector(self, label: str, vec, series=True):
-        if series:
-            body = ", ".join(format_terms(s, order=s.known_order) for s in vec)
-        else:
-            body = ", ".join(format_terms(p) for p in vec)
-        self.lines.append(f"{label} = ( {body} )")
+    def vector(self, label: str, vec):
+        self.lines.append(f"{label} = ( {', '.join(map(_text, vec))} )")
+
+    def listing(self, heading: str, label: str, items):
+        """``heading: N``, then ``label[i] = ...`` for each polynomial or vector."""
+        self.add(f"{heading}: {len(items)}")
+        for i, x in enumerate(items):
+            if isinstance(x, (list, tuple)):
+                self.vector(f"{label}[{i}]", x)
+            else:
+                self.item(f"{label}[{i}]", x)
 
     def text(self) -> str:
         return "\n".join(self.lines) + "\n"
 
 
-def _schedule(c: int, top: int):
-    """Working orders from c up to top in steps of two, always ending at top."""
-    if top <= c:
-        return [c, c + 2]
-    orders = list(range(c, top + 1, 2))
-    if orders[-1] != top:
-        orders.append(top)
-    return orders
+class _Context(NamedTuple):
+    c: int  # the precision
+    working_order: int  # --working-order, or None
+    mode: str  # --mode, or None
+    names: list  # the argument tokens as written
 
 
-def _args(task_args, count, verb):
-    if len(task_args) != count:
-        raise TruncasError(f"task {verb} expects {count} argument(s)")
-    return task_args
+def _schedule(ctx: _Context):
+    """Working orders from c up to the working order in steps of two, ending at it."""
+    top = ctx.working_order
+    return None if top is None else [*range(ctx.c, top, 2), top]
 
 
-def _int_arg(token: str, verb: str) -> int:
-    try:
-        return int(token)
-    except ValueError:
-        raise TruncasError(f"task {verb} expects an integer block size, got {token!r}") from None
+def _system(T, b, profile, c, order) -> NestedLinearSystem:
+    rows = [[e.as_series(order) for e in row] for row in T]
+    return NestedLinearSystem(rows, [e.as_series(order) for e in b], profile, c)
 
 
-def _series_at(problem: ProblemFile, name: str, order: int) -> TruncatedSeries:
-    poly = problem.obj(name, {"series"})
-    return poly.as_series(order)
-
-
-def _system(problem, mat_name, vec_name, prof_name, c) -> NestedLinearSystem:
-    T = problem.obj(mat_name, {"matrix"})
-    b = problem.obj(vec_name, {"vector"})
-    profile = problem.obj(prof_name, {"nesting"})
-    rows = [[e.as_series(c) for e in row] for row in T]
-    rhs = [e.as_series(c) for e in b]
-    return NestedLinearSystem(rows, rhs, profile, c)
-
-
-def _emit_solution(rep: Report, sol, unknown_names):
+def _emit_solution(rep: Report, sol):
     if not sol.solvable:
         rep.add("status: UNSOLVABLE")
         rep.add(f"obstruction degree: {sol.obstruction_degree}")
         return
-    rep.add("status: SOLVABLE")
-    rep.add(f"validity order: {sol.validity_order}")
-    for name, comp in zip(unknown_names, sol.particular):
-        rep.series(name, comp)
-    rep.add(f"nullspace dimension: {len(sol.nullspace_basis)}")
-    for idx, vec in enumerate(sol.nullspace_basis):
-        rep.vector(f"nullspace[{idx}]", vec)
+    rep.status("SOLVABLE", sol.validity_order)
+    for i, comp in enumerate(sol.particular):
+        rep.item(f"y{i + 1}", comp)
+    rep.listing("nullspace dimension", "nullspace", sol.nullspace_basis)
+
+
+# Handlers call library functions through this module's globals, looked up at
+# call time, so a name patched on the module (perfbench/layers.py traces
+# them) reaches every task.
+
+
+def _order(rep, ctx, f):
+    s = f.as_series(ctx.c)
+    rep.status("OK", ctx.c)
+    rep.item(ctx.names[0], s)
+    rep.add(f"valuation lower bound: {s.valuation()}")
+
+
+def _lift(rep, ctx, code):
+    series, steps = lift_with_steps(code, ctx.c)
+    rep.status("OK", ctx.c)
+    rep.item(ctx.names[0], series)
+    rep.add(f"newton steps: {steps}")
+
+
+def _implicit(rep, ctx, f):
+    h, u = implicit_linear(f.as_series(division_working_order(ctx.c, 1)), ctx.c)
+    rep.status("OK", ctx.c)
+    rep.item("h", h)
+    rep.item("u", u)
+
+
+def _weierstrass(rep, ctx, f, g):
+    c = ctx.c
+    d = regularity_order(f.as_series(max(c, f.total_deg() + 1, 2)))
+    w = division_working_order(c, d)
+    q, remainders = weierstrass_divide(f.as_series(w), g.as_series(w), c)
+    rep.status("OK", c)
+    rep.add(f"regularity order: {d}")
+    rep.item("q", q)
+    for k, a in enumerate(remainders):
+        rep.item(f"a[{k}]", a)
+
+
+def _solve_nested(rep, ctx, T, b, profile):
+    _emit_solution(rep, solve_nested(_system(T, b, profile, ctx.c, ctx.c)))
+
+
+def _approximate(rep, ctx, T, b, profile, target):
+    big_c = ctx.c if ctx.working_order is None else ctx.working_order
+    sys_ = _system(T, b, profile, ctx.c, big_c)
+    _emit_solution(rep, approximate(sys_, [e.as_series(big_c) for e in target]))
+
+
+def _homogenize(rep, ctx, T, b, profile):
+    hom = homogenize(_system(T, b, profile, ctx.c, ctx.c))
+    rep.status("OK", ctx.c)
+    rep.add("sigma: " + " ".join(str(s) for s in hom.profile.sigma))
+    for r, row in enumerate(hom.T):
+        rep.vector(f"T[{r}]", row)
+    for r, entry in enumerate(hom.b):
+        rep.item(f"b[{r}]", entry)
+
+
+def _eliminate(rep, ctx, ideal):
+    c, w = ctx.c, ctx.working_order
+    elim = eliminate_ideal(ideal)
+    rep.add("status: OK")
+    rep.listing("generators", "elim", elim.gens)
+    if w is not None:
+        basis = truncated_completion_elimination(ideal, c, w)
+        rep.listing(f"truncated basis (order {c}, working order {w})", "truncated", basis)
+        same = same_span_below(ideal_low_degree_space(elim, c), basis, elim.ring, c)
+        rep.add(f"matches exact elimination below order {c}: " + ("yes" if same else "no"))
+
+
+def _intersect_module(rep, ctx, module, p):
+    result = module_intersect_zero_block(module, p)
+    rep.add("status: OK")
+    rep.listing("generators", "gen", result.gens)
+
+
+def _idealize(rep, ctx, module, p):
+    ideal = nagata_idealize(module, p)
+    rep.add("status: OK")
+    rep.add("ring: " + " ".join(ideal.ring.names))
+    rep.listing("generators", "gen", ideal.gens)
+
+
+def _chevalley(rep, ctx, module, p):
+    mode = ctx.mode or "exact"
+    rep.add(f"mode: {mode}")
+    rep.add("status: OK")
+    for cc in range(1, ctx.c + 1):
+        # with no --working-order, chevalley_beta decides row cc at D = cc + 4
+        res = chevalley_beta(module, p, cc, mode, working_order=ctx.working_order)
+        shown = f" D={res.working_order}" if mode == "truncated" else ""
+        rep.add(f"c={cc} beta={res.beta}{shown}")
+
+
+def _syzygies(rep, ctx, T):
+    result = syzygies(T)
+    rep.add("status: OK")
+    rep.listing("generators", "syz", result.gens)
+
+
+def _kernel(rep, ctx, phi):
+    report = truncated_completion_kernel(phi, ctx.c, _schedule(ctx))
+    rep.add("status: OK")
+    rep.add(f"order: {ctx.c}")
+    rep.add("working orders: " + " ".join(str(x) for x in report.cprimes))
+    rep.add("dimensions: " + " ".join(str(d) for d in report.dimensions))
+    rep.add("stabilized: " + ("yes" if report.stabilized else "no"))
+    for i, b in enumerate(report.candidate_basis):
+        rep.item(f"candidate[{i}]", b)
+    if report.exact_kernel is not None:
+        rep.listing("exact kernel generators", "exact", report.exact_kernel.gens)
+
+
+def _check_injective(rep, ctx, phi):
+    result = check_strong_injectivity(phi, ctx.c, _schedule(ctx))
+    rep.add("status: " + ("EQUAL" if result.equal else "UNEQUAL"))
+    rep.add(f"order: {ctx.c}")
+    rep.add("working orders: " + " ".join(str(x) for x in result.cprimes))
+    rep.add("stabilized: " + ("yes" if result.stabilized else "no"))
+    rep.listing("exact kernel generators", "exact", result.exact_kernel.gens)
+
+
+def _preimage(rep, ctx, phi, b_full):
+    n = phi.source.nvars
+    if any(any(e[:n]) for e in b_full.terms):
+        raise TruncasError("preimage target must use only y-block variables")
+    b = Polynomial(phi.target, {e[n:]: v for e, v in b_full.terms.items()}, clean=False)
+    f = preimage(phi, b, ctx.c)
+    rep.status("NONE" if f is None else "OK", ctx.c)
+    if f is not None:
+        rep.item("f", f)
+
+
+# verb -> (handler, kind of each argument); "int" is a block size, any other
+# kind names a declaration of that kind.
+TASKS = {
+    "order": (_order, ["series"]),
+    "lift": (_lift, ["hensel"]),
+    "implicit": (_implicit, ["series"]),
+    "weierstrass": (_weierstrass, ["series", "series"]),
+    "solve-nested": (_solve_nested, ["matrix", "vector", "nesting"]),
+    "approximate": (_approximate, ["matrix", "vector", "nesting", "vector"]),
+    "homogenize": (_homogenize, ["matrix", "vector", "nesting"]),
+    "eliminate": (_eliminate, ["ideal"]),
+    "intersect-module": (_intersect_module, ["module", "int"]),
+    "idealize": (_idealize, ["module", "int"]),
+    "chevalley": (_chevalley, ["module", "int"]),
+    "syzygies": (_syzygies, ["matrix"]),
+    "kernel": (_kernel, ["morphism"]),
+    "check-injective": (_check_injective, ["morphism"]),
+    "preimage": (_preimage, ["morphism", "series"]),
+}
+
+
+def _arg(problem: ProblemFile, verb: str, token: str, kind: str):
+    if kind == "int":
+        try:
+            return int(token)
+        except ValueError:
+            raise TruncasError(
+                f"task {verb} expects an integer block size, got {token!r}"
+            ) from None
+    obj = problem.obj(token, {kind})
+    if kind == "morphism" and not obj.well_defined():
+        raise TruncasError(f"morphism {token!r} does not map I into J")
+    return obj
 
 
 def run(problem: ProblemFile, working_order=None, mode=None) -> Report:
-    verb, args = problem.task
-    c = problem.precision
+    verb, names = problem.task
+    if verb not in TASKS:
+        raise TruncasError(f"unknown task {verb!r}")
+    handler, kinds = TASKS[verb]
+    if len(names) != len(kinds):
+        raise TruncasError(f"task {verb} expects {len(kinds)} argument(s)")
+    objs = [_arg(problem, verb, token, kind) for token, kind in zip(names, kinds)]
     rep = Report(verb)
-
-    if verb == "order":
-        (name,) = _args(args, 1, verb)
-        s = _series_at(problem, name, c)
-        rep.add("status: OK")
-        rep.add(f"validity order: {c}")
-        rep.series(name, s)
-        rep.add(f"valuation lower bound: {s.valuation()}")
-        return rep
-
-    if verb == "lift":
-        (name,) = _args(args, 1, verb)
-        code = problem.obj(name, {"hensel"})
-        series, steps = lift_with_steps(code, c)
-        rep.add("status: OK")
-        rep.add(f"validity order: {c}")
-        rep.series(name, series)
-        rep.add(f"newton steps: {steps}")
-        return rep
-
-    if verb == "implicit":
-        (name,) = _args(args, 1, verb)
-        f = _series_at(problem, name, division_working_order(c, 1))
-        h, u = implicit_linear(f, c)
-        rep.add("status: OK")
-        rep.add(f"validity order: {c}")
-        rep.series("h", h)
-        rep.series("u", u)
-        return rep
-
-    if verb == "weierstrass":
-        fname, gname = _args(args, 2, verb)
-        fpoly = problem.obj(fname, {"series"})
-        probe = fpoly.as_series(max(c, fpoly.total_deg() + 1, 2))
-        d = regularity_order(probe)
-        w = division_working_order(c, d)
-        f = fpoly.as_series(w)
-        g = problem.obj(gname, {"series"}).as_series(w)
-        q, remainders = weierstrass_divide(f, g, c)
-        rep.add("status: OK")
-        rep.add(f"validity order: {c}")
-        rep.add(f"regularity order: {d}")
-        rep.series("q", q)
-        for k, a in enumerate(remainders):
-            rep.series(f"a[{k}]", a)
-        return rep
-
-    if verb == "solve-nested":
-        mat, vec, prof = _args(args, 3, verb)
-        sys_ = _system(problem, mat, vec, prof, c)
-        sol = solve_nested(sys_)
-        _emit_solution(rep, sol, [f"y{i+1}" for i in range(sys_.m)])
-        return rep
-
-    if verb == "approximate":
-        mat, vec, prof, target = _args(args, 4, verb)
-        big_c = working_order if working_order is not None else c
-        if big_c < c:
-            raise TruncasError("working order must be at least the precision")
-        T = problem.obj(mat, {"matrix"})
-        b = problem.obj(vec, {"vector"})
-        profile = problem.obj(prof, {"nesting"})
-        sys_ = NestedLinearSystem(
-            [[e.as_series(big_c) for e in row] for row in T],
-            [e.as_series(big_c) for e in b],
-            profile,
-            c,
-        )
-        tvec = [e.as_series(big_c) for e in problem.obj(target, {"vector"})]
-        sol = approximate(sys_, tvec)
-        _emit_solution(rep, sol, [f"y{i+1}" for i in range(sys_.m)])
-        return rep
-
-    if verb == "homogenize":
-        mat, vec, prof = _args(args, 3, verb)
-        sys_ = _system(problem, mat, vec, prof, c)
-        hom = homogenize(sys_)
-        rep.add("status: OK")
-        rep.add(f"validity order: {c}")
-        rep.add("sigma: " + " ".join(str(s) for s in hom.profile.sigma))
-        for r, row in enumerate(hom.T):
-            rep.vector(f"T[{r}]", row)
-        for r, entry in enumerate(hom.b):
-            rep.series(f"b[{r}]", entry)
-        return rep
-
-    if verb == "eliminate":
-        (name,) = _args(args, 1, verb)
-        ideal = problem.obj(name, {"ideal"})
-        elim = eliminate_ideal(ideal)
-        rep.add("status: OK")
-        rep.add(f"generators: {len(elim.gens)}")
-        for i, g in enumerate(elim.gens):
-            rep.poly(f"elim[{i}]", g)
-        if working_order is not None:
-            basis = truncated_completion_elimination(ideal, c, working_order)
-            rep.add(
-                f"truncated basis (order {c}, working order {working_order}): {len(basis)}"
-            )
-            for i, b in enumerate(basis):
-                rep.poly(f"truncated[{i}]", b)
-            same = same_span_below(ideal_low_degree_space(elim, c), basis, elim.ring, c)
-            rep.add(f"matches exact elimination below order {c}: " + ("yes" if same else "no"))
-        return rep
-
-    if verb == "intersect-module":
-        name, p_str = _args(args, 2, verb)
-        module = problem.obj(name, {"module"})
-        result = module_intersect_zero_block(module, _int_arg(p_str, verb))
-        rep.add("status: OK")
-        rep.add(f"generators: {len(result.gens)}")
-        for i, vec in enumerate(result.gens):
-            rep.vector(f"gen[{i}]", vec, series=False)
-        return rep
-
-    if verb == "idealize":
-        name, p_str = _args(args, 2, verb)
-        module = problem.obj(name, {"module"})
-        ideal = nagata_idealize(module, _int_arg(p_str, verb))
-        rep.add("status: OK")
-        rep.add("ring: " + " ".join(ideal.ring.names))
-        rep.add(f"generators: {len(ideal.gens)}")
-        for i, g in enumerate(ideal.gens):
-            rep.poly(f"gen[{i}]", g)
-        return rep
-
-    if verb == "chevalley":
-        name, p_str = _args(args, 2, verb)
-        module = problem.obj(name, {"module"})
-        p = _int_arg(p_str, verb)
-        use_mode = mode or "exact"
-        rep.add(f"mode: {use_mode}")
-        rep.add("status: OK")
-        for cc in range(1, c + 1):
-            wo = working_order if working_order is not None else cc + 4
-            res = chevalley_beta(module, p, cc, use_mode, working_order=wo)
-            if use_mode == "truncated":
-                rep.add(f"c={cc} beta={res.beta} D={res.working_order}")
-            else:
-                rep.add(f"c={cc} beta={res.beta}")
-        return rep
-
-    if verb == "syzygies":
-        (name,) = _args(args, 1, verb)
-        T = problem.obj(name, {"matrix"})
-        result = syzygies(T)
-        rep.add("status: OK")
-        rep.add(f"generators: {len(result.gens)}")
-        for i, vec in enumerate(result.gens):
-            rep.vector(f"syz[{i}]", vec, series=False)
-        return rep
-
-    if verb == "kernel":
-        (name,) = _args(args, 1, verb)
-        phi = problem.obj(name, {"morphism"})
-        cprimes = None if working_order is None else _schedule(c, working_order)
-        report = truncated_completion_kernel(phi, c, cprimes)
-        rep.add("status: OK")
-        rep.add(f"order: {c}")
-        rep.add("working orders: " + " ".join(str(x) for x in report.cprimes))
-        rep.add("dimensions: " + " ".join(str(d) for d in report.dimensions))
-        rep.add("stabilized: " + ("yes" if report.stabilized else "no"))
-        for i, b in enumerate(report.candidate_basis):
-            rep.poly(f"candidate[{i}]", b)
-        if report.exact_kernel is not None:
-            rep.add(f"exact kernel generators: {len(report.exact_kernel.gens)}")
-            for i, g in enumerate(report.exact_kernel.gens):
-                rep.poly(f"exact[{i}]", g)
-        return rep
-
-    if verb == "check-injective":
-        (name,) = _args(args, 1, verb)
-        phi = problem.obj(name, {"morphism"})
-        cprimes = None if working_order is None else _schedule(c, working_order)
-        result = check_strong_injectivity(phi, c, cprimes)
-        rep.add("status: " + ("EQUAL" if result.equal else "UNEQUAL"))
-        rep.add(f"order: {c}")
-        rep.add("working orders: " + " ".join(str(x) for x in result.cprimes))
-        rep.add("stabilized: " + ("yes" if result.stabilized else "no"))
-        rep.add(f"exact kernel generators: {len(result.exact_kernel.gens)}")
-        for i, g in enumerate(result.exact_kernel.gens):
-            rep.poly(f"exact[{i}]", g)
-        return rep
-
-    if verb == "preimage":
-        name, bname = _args(args, 2, verb)
-        phi = problem.obj(name, {"morphism"})
-        b_full = problem.obj(bname, {"series"})
-        n = phi.source.nvars
-        if any(any(e[i] for i in range(n)) for e in b_full.terms):
-            raise TruncasError("preimage target must use only y-block variables")
-        b = Polynomial(
-            phi.target, {e[n:]: v for e, v in b_full.terms.items()}, clean=False
-        )
-        f = preimage(phi, b, c)
-        if f is None:
-            rep.add("status: NONE")
-            rep.add(f"validity order: {c}")
-            return rep
-        rep.add("status: OK")
-        rep.add(f"validity order: {c}")
-        rep.series("f", f)
-        return rep
-
-    raise TruncasError(f"unknown task {verb!r}")
+    handler(rep, _Context(problem.precision, working_order, mode, names), *objs)
+    return rep
 
 
 def main(argv=None) -> int:
@@ -366,13 +331,13 @@ def main(argv=None) -> int:
             if opts.order < 1:
                 raise TruncasError("order must be positive")
             problem.precision = opts.order
-        if opts.working_order is not None and opts.working_order < 1:
-            raise TruncasError("working order must be positive")
+        if opts.working_order is not None:
+            if opts.working_order < 1:
+                raise TruncasError("working order must be positive")
+            if opts.working_order < problem.precision:
+                raise TruncasError("working order must be at least the precision")
         report = run(problem, working_order=opts.working_order, mode=opts.mode)
-    except ProblemSyntaxError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except TruncasError as exc:
+    except TruncasError as exc:  # ProblemSyntaxError included
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # internal invariant violation

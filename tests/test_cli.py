@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from truncas.cli import main
+from truncas.cli import TASKS, main
 from truncas.errors import ProblemSyntaxError
 from truncas.textio import parse_problem, parse_series_text, print_declaration
 
@@ -130,6 +130,60 @@ def test_non_positive_working_order_exits_one(case, value):
     code, out, err = run_cli(argv)
     assert (code, out) == (1, "")
     assert err == "error: working order must be positive\n"
+
+
+@pytest.mark.parametrize(
+    "case,value,flags",
+    [
+        ("kernel_fold", "2", []),
+        ("checkinj_cusp", "3", []),
+        ("chevalley_trunc", "2", ["--mode", "truncated"]),
+        ("eliminate_cmp", "1", []),
+    ],
+)
+def test_working_order_below_precision_exits_one(case, value, flags):
+    argv = [os.path.join(GOLDEN_DIR, case + ".problem"), "--working-order", value] + flags
+    code, out, err = run_cli(argv)
+    assert (code, out) == (1, "")
+    assert err == "error: working order must be at least the precision\n"
+
+
+def test_working_order_at_precision_is_one_order():
+    argv = [os.path.join(GOLDEN_DIR, "kernel_fold.problem"), "--working-order", "3"]
+    code, out, err = run_cli(argv)
+    assert (code, err) == (0, "")
+    assert "working orders: 3\n" in out
+    assert "stabilized: no\n" in out  # one order cannot show stabilization
+
+
+@pytest.mark.parametrize("task", ["kernel phi", "check-injective phi", "preimage phi b"])
+def test_ill_defined_morphism_exits_one(task):
+    text = (
+        "field Q\nring x: x1 x2 ; y: yy\nprecision 3\n"
+        "ideal I = ( x1 )\nideal J = ( yy^2 )\nseries b = yy^2\n"
+        f"morphism phi : x1 -> yy ; x2 -> yy with I=I, J=J\ntask {task}\n"
+    )
+    code, out, err = run_cli(["-"], stdin_text=text)
+    assert (code, out) == (1, "")
+    assert err == "error: morphism 'phi' does not map I into J\n"
+
+
+def test_task_table_matches_goldens():
+    verbs = set()
+    for case in golden_cases():
+        with open(os.path.join(GOLDEN_DIR, case + ".problem")) as fh:
+            verbs.add(parse_problem(fh.read()).task[0])
+    assert verbs == set(TASKS)
+
+
+@pytest.mark.parametrize("verb", sorted(TASKS))
+def test_extra_task_argument_exits_one(verb):
+    count = len(TASKS[verb][1])
+    tokens = " ".join(f"a{i}" for i in range(count + 1))
+    text = f"field Q\nring x: x1 ; y: yy\nprecision 2\ntask {verb} {tokens}\n"
+    code, out, err = run_cli(["-"], stdin_text=text)
+    assert (code, out) == (1, "")
+    assert err == f"error: task {verb} expects {count} argument(s)\n"
 
 
 def test_undeclared_name_is_located():
