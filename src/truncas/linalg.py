@@ -230,16 +230,3 @@ def spans_equal(rows_a, rows_b, field) -> bool:
     rb = span_reducer(rows_b, field)
     return ra.rank == rb.rank
 
-
-def intersect_spans(rows_a, rows_b, ncols: int, field):
-    """Basis of span(A) ∩ span(B) by the doubled-column construction."""
-    red = RowReducer(field)
-    for row in rows_a:
-        red.add({**{c: v for c, v in row.items()}, **{c + ncols: v for c, v in row.items()}})
-    for row in rows_b:
-        red.add(dict(row))
-    out = []
-    for pcol in sorted(red.pivots):
-        if pcol >= ncols:
-            out.append({c - ncols: v for c, v in red.row(pcol).items()})
-    return out

@@ -21,6 +21,16 @@ submodule.  The shift 0 is reserved for the degenerate case where the module
 already sits inside its front-zero part, so that a reported positive shift
 is meaningful for every c; within that convention the reported value is
 minimal and the inclusion fails one step lower.
+
+Truncated mode reduces the truncated generator multiples once, with the
+front block's columns ranked by degree, then component, then exponent, and
+the back block after them.  The span's elements that vanish on the front
+below degree b are then those zero on a column prefix, and the echelon rows
+pivoted past that prefix span them, for every b at once.  The rows pivoted
+in the back block span the truncated front-zero part N, and a vector lies in
+N plus every monomial of degree >= c exactly when its truncation below c
+lies in N's, so the shift is one more than the highest front pivot degree
+of a row that fails this test.
 """
 
 from __future__ import annotations
@@ -36,18 +46,12 @@ from .groebner import (
     mod_normal_form,
     module_buchberger,
     poly_sort_key,
+    truncated_multiple_rows,
     vec_to_elem,
 )
-from .linalg import intersect_spans, span_reducer
+from .linalg import span_reducer
 from .orders import BlockOrder
-from .series import (
-    Polynomial,
-    Ring,
-    exp_add,
-    exponents_of_degree,
-    iter_exponents,
-    total_degree,
-)
+from .series import Polynomial, Ring, exponents_of_degree
 
 
 @dataclass
@@ -300,10 +304,14 @@ def chevalley_beta(
     if c < 1:
         raise TruncasError("c must be positive")
     t = M.rank - p
+    if p < 0 or t < 0:
+        raise TruncasError("invalid block sizes")
     if mode == "exact":
         return _chevalley_exact(M, p, t, c)
     if mode == "truncated":
         D = working_order if working_order is not None else c + 4
+        if D < c:
+            raise TruncasError("working order must be at least the target order")
         return _chevalley_truncated(M, p, t, c, D)
     raise TruncasError(f"unknown mode {mode!r}")
 
@@ -335,73 +343,29 @@ def _chevalley_exact(M: PolyModule, p: int, t: int, c: int) -> ChevalleyResult:
 
 
 def _chevalley_truncated(M: PolyModule, p: int, t: int, c: int, D: int) -> ChevalleyResult:
-    ring = M.ring
-    n = ring.nvars
-    field = ring.field
-    mono_rank = {}
+    n = M.ring.nvars
+    field = M.ring.field
+    # (degree, component, exponent) per column: the front block by degree, then the back block
+    cols = [(d, i, e) for d in range(D) for i in range(p) for e in exponents_of_degree(n, d)]
+    first_back = len(cols)
+    cols += [(d, i, e) for i in range(p, p + t) for d in range(D) for e in exponents_of_degree(n, d)]
+    rank_of = [{} for _ in range(p + t)]
+    for col, (_, i, e) in enumerate(cols):
+        rank_of[i][e] = col
+    # one row per (generator, multiplier), merged over the components
+    rows = {}
     for i in range(p + t):
-        for e in iter_exponents(n, D):
-            mono_rank[(i, e)] = len(mono_rank)
-    ncols = len(mono_rank)
-
-    def vec_rows(vectors):
-        rows = []
-        for vec in vectors:
-            for m in iter_exponents(n, D):
-                md = total_degree(m)
-                row = {}
-                for comp, poly in enumerate(vec):
-                    for e, coeff in poly.terms.items():
-                        if md + total_degree(e) < D:
-                            row[mono_rank[(comp, exp_add(m, e))]] = coeff
-                if row:
-                    rows.append(row)
-        return rows
-
-    m_rows = vec_rows(M.gens)
-    back_only = span_reducer(
-        [
-            {mono_rank[(i, e)]: field.one}
-            for i in range(p, p + t)
-            for e in iter_exponents(n, D)
-        ],
-        field,
-    )
-    m_red = span_reducer(m_rows, field)
-    # truncated front-zero part: members of the M-span supported on the back block
-    n_rows = []
-    for pcol in sorted(m_red.pivots):
-        row = m_red.row(pcol)
-        if back_only.member(row):
-            n_rows.append(row)
-    # reported 0 only when the whole truncated span sits in its front-zero part
-    n_red = span_reducer(n_rows, field)
-    if all(n_red.member(r) for r in m_rows):
+        labels = []
+        parts = truncated_multiple_rows([vec[i] for vec in M.gens], D, rank_of[i], labels)
+        for label, part in zip(labels, parts):
+            rows.setdefault(label, {}).update(part)
+    red = span_reducer(rows.values(), field)
+    if all(col >= first_back for col in red.pivots):
         return ChevalleyResult(c, 0, "truncated", D)
 
-    high_rows = [
-        {mono_rank[(i, e)]: field.one}
-        for i in range(p + t)
-        for d in range(c, D)
-        for e in exponents_of_degree(n, d)
-    ]
-    rhs_red = span_reducer(n_rows + high_rows, field)
+    def below_c(col):
+        return {k: v for k, v in red.row(col).items() if cols[k][0] < c}
 
-    beta = 1
-    while True:
-        w_rows = [
-            {mono_rank[(i, e)]: field.one}
-            for i in range(p)
-            for d in range(beta, D)
-            for e in exponents_of_degree(n, d)
-        ] + [
-            {mono_rank[(i, e)]: field.one}
-            for i in range(p, p + t)
-            for e in iter_exponents(n, D)
-        ]
-        lhs = intersect_spans(m_rows, w_rows, ncols, field)
-        if all(rhs_red.member(row) for row in lhs):
-            return ChevalleyResult(c, beta, "truncated", D)
-        beta += 1
-        if beta > D:
-            raise TruncasError("no truncated shift found below the working order")
+    low = span_reducer([below_c(col) for col in red.pivots if col >= first_back], field)
+    bad = [cols[col][0] for col in red.pivots if col < first_back and not low.member(below_c(col))]
+    return ChevalleyResult(c, 1 + max(bad, default=0), "truncated", D)

@@ -538,3 +538,70 @@ def textbook_module_buchberger(elements, order):
                 break
     basis.sort(key=lambda g: order.key(_lead(g, order)))
     return [{k: v / g[_lead(g, order)] for k, v in g.items()} for g in basis]
+
+
+# ---------------------------------------------------------------------------
+# truncated shift function by one span intersection per shift
+
+
+def field_span(rows, field):
+    red = FieldRowReducer(field)
+    for row in rows:
+        red.add(row)
+    return red
+
+
+def intersect_spans(rows_a, rows_b, ncols, field):
+    """Basis of span(A) ∩ span(B) by the doubled-column construction."""
+    red = FieldRowReducer(field)
+    for row in rows_a:
+        red.add({**row, **{c + ncols: v for c, v in row.items()}})
+    for row in rows_b:
+        red.add(row)
+    return [
+        {c - ncols: v for c, v in red.pivots[pcol].items()}
+        for pcol in sorted(red.pivots)
+        if pcol >= ncols
+    ]
+
+
+def per_beta_chevalley_truncated(M, p, c, D):
+    """Truncated shift of ``chevalley_beta``, one span intersection per candidate.
+
+    Columns are (component, exponent) below D, component by component.  N is
+    the part of the truncated span of M supported on the back block.  The
+    shift is 0 when the span equals N, and otherwise the least b >= 1 such
+    that span(M) ∩ (front monomials of degree >= b, every back monomial)
+    lies in N plus every monomial of degree c..D-1.
+    """
+    n, field = M.ring.nvars, M.ring.field
+    rank = {}
+    for i in range(M.rank):
+        for e in iter_exponents(n, D):
+            rank[(i, e)] = len(rank)
+    m_rows = []
+    for vec in M.gens:
+        for m in iter_exponents(n, D):
+            row = {
+                rank[(i, tuple(a + b for a, b in zip(m, e)))]: coeff
+                for i, poly in enumerate(vec)
+                for e, coeff in poly.terms.items()
+                if total_degree(m) + total_degree(e) < D
+            }
+            if row:
+                m_rows.append(row)
+
+    def units(keep):
+        return [{col: field.one} for (i, e), col in rank.items() if keep(i, total_degree(e))]
+
+    back = field_span(units(lambda i, d: i >= p), field)
+    n_rows = [row for row in field_span(m_rows, field).pivots.values() if back.member(row)]
+    n_red = field_span(n_rows, field)
+    if all(n_red.member(row) for row in m_rows):
+        return 0
+    rhs = field_span(n_rows + units(lambda i, d: d >= c), field)
+    for beta in range(1, D + 1):
+        lhs = intersect_spans(m_rows, units(lambda i, d: i >= p or d >= beta), len(rank), field)
+        if all(rhs.member(row) for row in lhs):
+            return beta
+    raise AssertionError("no truncated shift found below the working order")

@@ -148,6 +148,15 @@ def test_working_order_below_precision_exits_one(case, value, flags):
     assert err == "error: working order must be at least the precision\n"
 
 
+@pytest.mark.parametrize("mode", ["exact", "truncated"])
+def test_chevalley_block_size_past_rank_exits_one(mode):
+    with open(os.path.join(GOLDEN_DIR, "chevalley_trunc.problem")) as fh:
+        text = fh.read().replace("task chevalley M 1", "task chevalley M 3")
+    code, out, err = run_cli(["-", "--mode", mode], stdin_text=text)
+    assert (code, out) == (1, "")
+    assert err == "error: invalid block sizes\n"
+
+
 def test_working_order_at_precision_is_one_order():
     argv = [os.path.join(GOLDEN_DIR, "kernel_fold.problem"), "--working-order", "3"]
     code, out, err = run_cli(argv)

@@ -8,9 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from truncas.fields import QQ, PrimeField
-from truncas.linalg import RowReducer, intersect_spans, span_reducer, spans_equal
+from truncas.linalg import RowReducer, span_reducer, spans_equal
 
-from oracles import FieldRowReducer
+from oracles import FieldRowReducer, intersect_spans
 
 
 def dense_rref_rank_and_consistent(rows, rhs, ncols):

@@ -4,7 +4,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from truncas.errors import TruncasError
 from truncas.fields import QQ, PrimeField
 from truncas.groebner import PolyIdeal, eliminate_ideal, ideals_equal, mod_leading
 from truncas.modules import (
@@ -22,6 +25,8 @@ from truncas.modules import (
     vec_to_elem,
 )
 from truncas.series import Polynomial, Ring
+
+from oracles import per_beta_chevalley_truncated
 
 RX = Ring(QQ, ("x1",))
 R2 = Ring(QQ, ("x1", "x2"))
@@ -221,6 +226,52 @@ def test_chevalley_truncated_below_exact_and_stabilizes():
         ]
         assert all(v <= exact for v in values)
         assert values[-1] == exact and values[-2] == exact
+
+
+def test_chevalley_truncated_refuses_working_order_below_c():
+    M = PolyModule(RX, 1, [[RX.variable(0)]])
+    assert chevalley_beta(M, 1, 3, "truncated", working_order=3).beta == 3
+    with pytest.raises(TruncasError, match="working order must be at least"):
+        chevalley_beta(M, 1, 3, "truncated", working_order=2)
+
+
+@pytest.mark.parametrize("mode", ["exact", "truncated"])
+@pytest.mark.parametrize("p", [-1, 3])
+def test_chevalley_refuses_block_sizes_out_of_range(mode, p):
+    M = PolyModule(R2, 2, [[R2.variable(0), R2.variable(1)]])
+    with pytest.raises(TruncasError, match="invalid block sizes"):
+        chevalley_beta(M, p, 2, mode)
+
+
+@st.composite
+def shift_problems(draw):
+    """(module, p, c, D): up to 3 generators of sparse entries of degree <= 6.
+
+    Sizes come from ``sampled_from``, largest first: derandomized integer
+    draws cluster at their lower bound, where D = c and p = 0 decide little,
+    and a wrong front ranking shows only with p >= 2.
+    """
+    field = draw(st.sampled_from([QQ, PrimeField(7), PrimeField(2**31 - 1)]))
+    n = draw(st.sampled_from([3, 2, 1]))
+    ring = Ring(field, tuple(f"x{k}" for k in range(1, n + 1)))
+    rank = draw(st.sampled_from([3, 2, 1]))
+    exponent = st.tuples(*[st.integers(0, 2)] * n)
+    coeff = st.sampled_from([-3, -2, -1, 1, 2, 3]).map(field)
+    terms = st.one_of(st.dictionaries(exponent, coeff, min_size=1, max_size=3), st.just({}))
+    entry = terms.map(lambda t: Polynomial(ring, t))
+    vector = st.lists(entry, min_size=rank, max_size=rank)
+    gens = [draw(vector) for _ in range(draw(st.integers(0, 3)))]
+    c = draw(st.sampled_from([4, 3, 2, 1]))
+    p = draw(st.sampled_from(range(rank, -1, -1)))
+    return PolyModule(ring, rank, gens), p, c, c + draw(st.sampled_from([4, 3, 2, 1, 0]))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(shift_problems())
+def test_chevalley_truncated_matches_per_beta_intersections(problem):
+    M, p, c, D = problem
+    res = chevalley_beta(M, p, c, "truncated", working_order=D)
+    assert (res.beta, res.working_order) == (per_beta_chevalley_truncated(M, p, c, D), D)
 
 
 def test_module_buchberger_reduces_own_spairs():
