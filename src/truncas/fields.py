@@ -23,11 +23,11 @@ Four row hooks sit next to ``unwrap``/``wrap``:
   numerator ``pden``.  Over Q ``num / pden`` in lowest terms, ``b / a``;
   over F_p ``a`` is 1 and ``b`` is the residue of ``num``, so numerators
   grow by additions only.
-- ``canonical_row(den, nums, rhs, combo)``: the unique representative of
-  the row's values, with zero entries dropped.  Over Q the content gcd of
-  ``den`` and every numerator is divided out and ``den > 0``; over F_p
-  everything is multiplied by ``den^-1 mod p``, reduced, and ``den`` is 1.
-  ``combo`` is a dict of numerators sharing ``den``, or None.
+- ``canonical_row(den, nums, rhs)``: the unique representative of the
+  row's values, with zero entries dropped.  Over Q the content gcd of
+  ``den``, every numerator and ``rhs`` is divided out and ``den > 0``; over
+  F_p everything is multiplied by ``den^-1 mod p``, reduced, and ``den``
+  is 1.
 - ``unscale(num, den)``: one field element out of a canonical row,
   ``Fraction(num, den)`` over Q and ``wrap(num)`` over F_p.
 """
@@ -127,16 +127,14 @@ class Rationals:
         return pden // g, num // g
 
     @staticmethod
-    def canonical_row(den, nums, rhs, combo):
+    def canonical_row(den, nums, rhs):
         """Zeros dropped, content gcd divided out, den > 0."""
-        g = gcd(den, rhs, *nums.values(), *(combo.values() if combo else ()))
+        g = gcd(den, rhs, *nums.values())
         if den < 0:
             g = -g
         if g != 1 or 0 in nums.values():
             nums = {c: v // g for c, v in nums.items() if v}
-        if combo is not None and (g != 1 or 0 in combo.values()):
-            combo = {i: v // g for i, v in combo.items() if v}
-        return den // g, nums, rhs // g, combo
+        return den // g, nums, rhs // g
 
     @staticmethod
     def unscale(num, den) -> Fraction:
@@ -255,14 +253,12 @@ class PrimeField:
         """(1, num mod p); stored rows have den 1."""
         return 1, num % self.p
 
-    def canonical_row(self, den, nums, rhs, combo):
+    def canonical_row(self, den, nums, rhs):
         """Everything times den^-1, reduced mod p, zeros dropped; den becomes 1."""
         p = self.p
         inv = pow(den, -1, p)
         nums = {c: r for c, v in nums.items() if (r := v * inv % p)}
-        if combo is not None:
-            combo = {i: r for i, v in combo.items() if (r := v * inv % p)}
-        return 1, nums, rhs * inv % p, combo
+        return 1, nums, rhs * inv % p
 
     def unscale(self, num, den) -> FpElement:
         return FpElement(num, self.p)

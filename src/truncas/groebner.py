@@ -54,13 +54,6 @@ from .series import (
 )
 
 
-def leading_term(p: Polynomial, order):
-    if p.is_zero():
-        raise TruncasError("zero polynomial has no leading term")
-    exp = max(p.terms, key=order.key)
-    return exp, p.terms[exp]
-
-
 def poly_sort_key(p: Polynomial):
     return sorted(
         ((canonical_exp_key(e), repr(c)) for e, c in p.terms.items()), reverse=True
@@ -375,14 +368,6 @@ def ideal_low_degree_space(ideal: PolyIdeal, c: int):
         terms = {monos[col]: v for col, v in vec.items()}
         basis.append(Polynomial(ring, terms, clean=False))
     return basis
-
-
-def ideals_equal(a: PolyIdeal, b: PolyIdeal) -> bool:
-    gb_a = buchberger(a.gens, GREVLEX)
-    gb_b = buchberger(b.gens, GREVLEX)
-    return all(gb_a.contains(g) for g in b.gens) and all(
-        gb_b.contains(g) for g in a.gens
-    )
 
 
 # ---------------------------------------------------------------------------

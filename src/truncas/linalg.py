@@ -9,7 +9,8 @@ its column ranking.
 
 A stored row is integer numerators ``pivots[col]`` over one row denominator
 ``dens[col]``, with ``pivots[col][col] == dens[col]`` (pivot coefficient 1);
-the row's rhs numerator and combination numerators share that denominator.
+the row's rhs numerator ``rhs[col]`` shares that denominator.  Nothing else is
+stored, because callers read echelon rows and right-hand sides only.
 The field's row hooks (``scale_row``, ``cancel_factors``, ``canonical_row``,
 ``unscale``; see ``fields``) bring rows in, cancel a pivot column, keep each
 stored row canonical and read elements out, so the elimination loops do
@@ -22,14 +23,13 @@ adds only higher columns, and a heap of hit columns visits each once.  The
 result has no pivot column, and the span of the stored rows holds no
 nonzero vector free of pivot columns, so this normal form is unique given
 the pivots.  The pivots are those a fully reduced form would choose, so
-``reduce``, ``member`` and ``express`` (over independent inserted rows, a
-unique combination) return the same as with a fully reduced form.
+``reduce`` and ``member`` return the same as with a fully reduced form.
 
-The fully reduced rows (``row``, ``canonical_rows``, ``particular_solution``,
-``nullspace_basis``) come from one top-down back-substitution on read.  It
-covers only the pivots at or above the lowest one asked for, is kept until
-the next pivot is inserted, and is extended downwards on demand, so callers
-that read only a last-ranked block never reduce the rows below it.
+The fully reduced rows (``row``, ``particular_solution``, ``nullspace_basis``)
+come from one top-down back-substitution on read.  It covers only the pivots
+at or above the lowest one asked for, is kept until the next pivot is
+inserted, and is extended downwards on demand, so callers that read only a
+last-ranked block never reduce the rows below it.
 """
 
 from __future__ import annotations
@@ -37,21 +37,16 @@ from __future__ import annotations
 from heapq import heapify, heappop, heappush
 from math import inf
 
-from .errors import TruncasError
-
 
 class RowReducer:
     """Incremental echelon form over an exact field, fully reduced on read."""
 
-    def __init__(self, field, track_combinations: bool = False):
+    def __init__(self, field):
         self.field = field
         self.zero = field.zero
         self.pivots = {}  # pivot col -> {col >= pivot: numerator}, numerator at pivot == den
         self.dens = {}  # pivot col -> positive row denominator
         self.rhs = {}  # pivot col -> right-hand side numerator
-        self.track = track_combinations
-        self.combos = {}  # pivot col -> {original row index: numerator}
-        self.n_inserted = 0
         self._drop_reduced()
 
     @property
@@ -60,20 +55,19 @@ class RowReducer:
 
     def _drop_reduced(self):
         # fully reduced rows of the pivots >= _reduced_low, in the stored layout
-        self._reduced_rows = ({}, {}, {}, {})
+        self._reduced_rows = ({}, {}, {})
         self._reduced_low = inf
 
-    def _eliminate(self, den, nums, rhs, combo, store):
+    def _eliminate(self, den, nums, rhs, store):
         """Cancel every pivot column of ``store`` in the scaled row, lowest first.
 
-        ``store`` is (rows, dens, rhs, combos) keyed by pivot column.  ``nums``
-        and ``combo`` may be updated in place, so callers pass fresh dicts.
-        Zeros may remain.
+        ``store`` is (rows, dens, rhs) keyed by pivot column.  ``nums`` may be
+        updated in place, so callers pass a fresh dict.  Zeros may remain.
         """
-        rows, dens, rhss, combos = store
+        rows, dens, rhss = store
         hits = [h for h in nums if h in rows]
         if not hits:
-            return den, nums, rhs, combo
+            return den, nums, rhs
         heapify(hits)
         factors = self.field.cancel_factors
         while hits:
@@ -85,8 +79,6 @@ class RowReducer:
                 den *= a
                 nums = {c: v * a for c, v in nums.items()}
                 rhs *= a
-                if combo is not None:
-                    combo = {i: v * a for i, v in combo.items()}
             for col, val in rows[h].items():
                 cur = nums.get(col)
                 if cur is None:
@@ -96,104 +88,69 @@ class RowReducer:
                 else:
                     nums[col] = cur - b * val
             rhs -= b * rhss[h]
-            if combo is not None:
-                for idx, val in combos[h].items():
-                    cur = combo.get(idx)
-                    combo[idx] = -b * val if cur is None else cur - b * val
-        return den, nums, rhs, combo
+        return den, nums, rhs
 
-    def _reduced(self, row, rhs=None, combo=None):
-        """Canonical scaled (den, nums, rhs, combo) of a row reduced by the pivots.
-
-        ``combo``, if given, holds integer coefficients of inserted rows.
-        """
+    def _reduced(self, row, rhs=None):
+        """Canonical scaled (den, nums, rhs) of a row reduced by the pivots."""
         field = self.field
         den, nums, rhs = field.scale_row(row, self.zero if rhs is None else rhs)
-        if combo is not None:
-            combo = {i: v * den for i, v in combo.items()}
-        store = (self.pivots, self.dens, self.rhs, self.combos)
-        return field.canonical_row(*self._eliminate(den, nums, rhs, combo, store))
+        store = (self.pivots, self.dens, self.rhs)
+        return field.canonical_row(*self._eliminate(den, nums, rhs, store))
 
     def reduce(self, row, rhs=None):
-        """Reduce a row and rhs against the current pivots; returns new objects.
-
-        The third item is None unless the reducer tracks combinations; then
-        it is minus the combination of inserted rows that was subtracted.
-        """
-        den, nums, rhs, combo = self._reduced(row, rhs, {} if self.track else None)
+        """Reduce a row and rhs against the current pivots; returns new (row, rhs)."""
+        den, nums, rhs = self._reduced(row, rhs)
         out = self.field.unscale
-        row = {c: out(v, den) for c, v in nums.items()}
-        if combo is not None:
-            combo = {i: out(v, den) for i, v in combo.items()}
-        return row, out(rhs, den), combo
+        return {c: out(v, den) for c, v in nums.items()}, out(rhs, den)
 
     def add(self, row, rhs=None) -> str:
         """Insert a row.  Returns 'pivot', 'dependent' or 'inconsistent'."""
-        combo = {self.n_inserted: 1} if self.track else None
-        self.n_inserted += 1
-        den, nums, rhs, combo = self._reduced(row, rhs, combo)
+        den, nums, rhs = self._reduced(row, rhs)
         if not nums:
             return "dependent" if not rhs else "inconsistent"
         pivot = min(nums)
-        den, nums, rhs, combo = self.field.canonical_row(nums[pivot], nums, rhs, combo)
+        den, nums, rhs = self.field.canonical_row(nums[pivot], nums, rhs)
         self.pivots[pivot] = nums
         self.dens[pivot] = den
         self.rhs[pivot] = rhs
-        if combo is not None:
-            self.combos[pivot] = combo
         self._drop_reduced()
         return "pivot"
 
     def _fully_reduced(self, low):
-        """(rows, dens, rhs, combos) fully reduced for every pivot >= ``low``.
+        """(rows, dens, rhs) fully reduced for every pivot >= ``low``.
 
         Rows are back-substituted top-down, each against the reduced rows
         above it, so only the pivots not yet covered are reduced.
         """
         store = self._reduced_rows
         if low < self._reduced_low:
-            rows, dens, rhss, combos = store
+            rows, dens, rhss = store
             canonical = self.field.canonical_row
             todo = sorted((p for p in self.pivots if low <= p < self._reduced_low), reverse=True)
             for p in todo:
-                combo = self.combos.get(p)
-                combo = None if combo is None else dict(combo)
-                nums = dict(self.pivots[p])
-                scaled = self._eliminate(self.dens[p], nums, self.rhs[p], combo, store)
-                dens[p], rows[p], rhss[p], combo = canonical(*scaled)
-                if combo is not None:
-                    combos[p] = combo
+                scaled = self._eliminate(self.dens[p], dict(self.pivots[p]), self.rhs[p], store)
+                dens[p], rows[p], rhss[p] = canonical(*scaled)
             self._reduced_low = low
         return store
 
     def row(self, pivot_col):
         """The fully reduced row with pivot ``pivot_col`` as field elements."""
-        rows, dens, _, _ = self._fully_reduced(pivot_col)
+        rows, dens, _ = self._fully_reduced(pivot_col)
         den, out = dens[pivot_col], self.field.unscale
         return {c: out(v, den) for c, v in rows[pivot_col].items()}
 
     def member(self, row) -> bool:
         return not self._reduced(row)[1]
 
-    def express(self, row):
-        """Coefficients writing ``row`` as a combination of inserted rows, or None."""
-        if not self.track:
-            raise TruncasError("reducer was not tracking combinations")
-        den, nums, _, combo = self._reduced(row, None, {})
-        if nums:
-            return None
-        out = self.field.unscale
-        return {i: out(-v, den) for i, v in combo.items()}
-
     def particular_solution(self):
         """Free columns set to zero; pivot columns read off the reduced rhs."""
-        _, dens, rhs, _ = self._fully_reduced(min(self.pivots, default=0))
+        _, dens, rhs = self._fully_reduced(min(self.pivots, default=0))
         out = self.field.unscale
         return {col: out(rhs[col], dens[col]) for col in self.pivots if rhs[col]}
 
     def nullspace_basis(self, all_columns):
         """One basis vector per free column, over the given column universe."""
-        rows, dens, _, _ = self._fully_reduced(min(self.pivots, default=0))
+        rows, dens, _ = self._fully_reduced(min(self.pivots, default=0))
         out = self.field.unscale
         entries = {}  # free col -> [(pivot col, reduced coefficient)]
         for pcol in sorted(rows):
@@ -209,10 +166,6 @@ class RowReducer:
                 vec.update(entries.get(free, ()))
                 basis.append(vec)
         return basis
-
-    def canonical_rows(self):
-        """The fully reduced rows, ordered by pivot column."""
-        return [self.row(c) for c in sorted(self.pivots)]
 
 
 def span_reducer(rows, field) -> RowReducer:

@@ -82,17 +82,6 @@ def module_contains(basis, order: ModuleOrder, elem: dict) -> bool:
     return not mod_normal_form(elem, basis, order)
 
 
-def modules_equal(a: PolyModule, b: PolyModule) -> bool:
-    if a.ring != b.ring or a.rank != b.rank:
-        return False
-    order = ModuleOrder()
-    gb_a = module_buchberger([vec_to_elem(v) for v in a.gens], order)
-    gb_b = module_buchberger([vec_to_elem(v) for v in b.gens], order)
-    return all(module_contains(gb_a, order, vec_to_elem(v)) for v in b.gens) and all(
-        module_contains(gb_b, order, vec_to_elem(v)) for v in a.gens
-    )
-
-
 # ---------------------------------------------------------------------------
 # zero-block intersection, tag intersection, syzygies
 

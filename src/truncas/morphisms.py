@@ -37,7 +37,7 @@ from .groebner import (
     subspace_column_ranks,
     truncated_multiple_rows,
 )
-from .linalg import RowReducer, span_reducer
+from .linalg import span_reducer
 from .orders import GREVLEX, BlockOrder
 from .series import (
     Polynomial,
@@ -236,34 +236,6 @@ def truncated_completion_kernel(
     return KernelReport(c, cprimes, bases[-1], stabilized, exact, [len(b) for b in bases])
 
 
-def kernel_certificate(phi: AlgebraMorphism, f: Polynomial, cprime: int):
-    """Multipliers (h_k, k_i) witnessing a candidate, or None.
-
-    Returns series over the combined ring with known order cprime such that
-    f - sum q_k h_k - sum (x_i - phi_i) k_i has no term below degree cprime.
-    """
-    big = _combined_ring(phi)
-    n = phi.source.nvars
-    gens = _graph_generators(phi, big, order=cprime)
-    rank_of = {e: i for i, e in enumerate(iter_exponents(big.nvars, cprime))}
-    red = RowReducer(phi.field, track_combinations=True)
-    row_monomials = []  # per row: (generator index, multiplier monomial)
-    for row in truncated_multiple_rows(gens, cprime, rank_of, row_monomials):
-        red.add(row)
-    target = {
-        rank_of[e + (0,) * (big.nvars - n)]: coeff for e, coeff in f.terms.items()
-    }
-    combo = red.express(target)
-    if combo is None:
-        return None
-    multipliers = [dict() for _ in gens]
-    for idx, coeff in combo.items():
-        gi, m = row_monomials[idx]
-        cur = multipliers[gi].get(m)
-        multipliers[gi][m] = coeff if cur is None else cur + coeff
-    return [TruncatedSeries(big, t, cprime) for t in multipliers]
-
-
 # ---------------------------------------------------------------------------
 # strong injectivity comparison and preimages
 
@@ -318,7 +290,7 @@ def preimage(phi: AlgebraMorphism, b, c: int):
     gens = _graph_generators(phi, big, order=c)
     red = span_reducer(truncated_multiple_rows(gens, c, rank_of), phi.field)
     target = {rank_of[_pad_exp(e, n)]: v for e, v in b.terms.items() if sum(e) < c}
-    nf, _, _ = red.reduce(target)
+    nf, _ = red.reduce(target)
     if any(col < first_kept for col in nf):
         return None
     return TruncatedSeries(phi.source, {kept[col]: v for col, v in nf.items()}, c)

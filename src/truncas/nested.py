@@ -125,7 +125,7 @@ class SolutionSet:
         return self.status == "solvable"
 
 
-def _unknown_columns(sys: NestedLinearSystem, shuffle_seed=None):
+def _unknown_columns(sys: NestedLinearSystem):
     """Assign column ranks to the coefficient unknowns u_{i,alpha}."""
     cols = []
     for i in range(sys.m):
@@ -133,18 +133,10 @@ def _unknown_columns(sys: NestedLinearSystem, shuffle_seed=None):
         for alpha in iter_exponents(bound, sys.c):
             full = alpha + (0,) * (sys.ring.nvars - bound)
             cols.append((i, full))
-    order = list(range(len(cols)))
-    if shuffle_seed is not None:
-        random.Random(shuffle_seed).shuffle(order)
-    rank_of = {}
-    for rank, idx in enumerate(order):
-        rank_of[cols[idx]] = rank
-    return cols, rank_of
+    return cols, {key: rank for rank, key in enumerate(cols)}
 
 
-def solve_nested(
-    sys: NestedLinearSystem, pins=None, column_shuffle_seed=None
-) -> SolutionSet:
+def solve_nested(sys: NestedLinearSystem, pins=None) -> SolutionSet:
     """Solve the truncated system; pins force specific coefficient unknowns.
 
     ``pins`` maps (unknown index, exponent) to field values; the values are
@@ -153,7 +145,7 @@ def solve_nested(
     field = sys.ring.field
     c = sys.c
     n = sys.ring.nvars
-    cols, rank_of = _unknown_columns(sys, column_shuffle_seed)
+    cols, rank_of = _unknown_columns(sys)
 
     red = RowReducer(field)
     if pins:
@@ -235,15 +227,6 @@ def residual(sys: NestedLinearSystem, vec) -> list:
             acc = acc + sys.T[r][i] * vec[i]
         out.append(acc)
     return out
-
-
-def is_solution(sys: NestedLinearSystem, vec) -> bool:
-    for i in range(sys.m):
-        if not vec[i].nested_support_ok(sys.profile.sigma[i]):
-            return False
-    return all(
-        all(total_degree(e) >= sys.c for e in res.terms) for res in residual(sys, vec)
-    )
 
 
 def approximate(sys: NestedLinearSystem, target) -> SolutionSet:
@@ -435,7 +418,7 @@ def weierstrass_divide(
     return q, remainders
 
 
-def implicit_linear(f: TruncatedSeries, c: int, column_shuffle_seed=None):
+def implicit_linear(f: TruncatedSeries, c: int):
     """Unique nested pair (h, u) with f·u + x_n − h ≡ 0 mod (x)^c, h free of x_n.
 
     Dividing x_n by f (regular of order 1) gives x_n = f q + a0, so
@@ -450,5 +433,5 @@ def implicit_linear(f: TruncatedSeries, c: int, column_shuffle_seed=None):
     if f.known_order < w:
         raise PrecisionTooLow(f"implicit linearization at order {c} needs order {w}")
     xn = f.ring.variable_series(n - 1, f.known_order)
-    q, remainders = weierstrass_divide(f, xn, c, column_shuffle_seed=column_shuffle_seed)
+    q, remainders = weierstrass_divide(f, xn, c)
     return remainders[0], -q

@@ -1,10 +1,9 @@
-"""Problem-file grammar and canonical text forms.
+"""Problem-file grammar.
 
 A problem file is line oriented; ``#`` starts a comment and statements span
 lines until brackets balance.  Expressions use ``+ - * ^``, rational
 literals ``p/q``, and parentheses; names refer to ring variables or
-previously declared series.  The same expression grammar, extended with a
-trailing ``+ O(deg c)`` marker, re-parses every canonical series print.
+previously declared series.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ from .hensel import HenselCode
 from .modules import PolyModule
 from .morphisms import AlgebraMorphism
 from .nested import NestedProfile
-from .series import Polynomial, Ring, TruncatedSeries, format_terms
+from .series import Polynomial, Ring
 
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<int>\d+)|(?P<arrow>->)|"
@@ -165,20 +164,6 @@ def parse_poly_text(text: str, ring: Ring, env=None) -> Polynomial:
         tok = ts.peek()
         raise ProblemSyntaxError(f"trailing input {tok.text!r}", tok.line, tok.column)
     return poly
-
-
-_O_MARKER = re.compile(r"^(.*?)(?:\s*\+\s*)?O\(deg (\d+)\)\s*$")
-
-
-def parse_series_text(text: str, ring: Ring, env=None) -> TruncatedSeries:
-    m = _O_MARKER.match(text.strip())
-    if m is None:
-        raise ProblemSyntaxError("series text must end with an O(deg c) marker")
-    body, order = m.group(1).strip(), int(m.group(2))
-    if not body:
-        return TruncatedSeries.zero(ring, order)
-    poly = parse_poly_text(body, ring, env)
-    return poly.as_series(order)
 
 
 # ---------------------------------------------------------------------------
@@ -550,49 +535,3 @@ def _restrict_ideal(ideal: PolyIdeal, sub: Ring, offset: int) -> PolyIdeal:
             Polynomial(sub, {e[offset : offset + n]: c for e, c in g.terms.items()})
         )
     return PolyIdeal(sub, gens)
-
-
-# ---------------------------------------------------------------------------
-# canonical declaration printing (round-trip support)
-
-
-def print_declaration(decl: Declaration) -> str:
-    kind, name, obj = decl.kind, decl.name, decl.obj
-    if kind == "series":
-        return f"series {name} = {format_terms(obj)}"
-    if kind == "hensel":
-        return f"hensel {name} : {format_terms(obj.poly)} @ {obj.seed}"
-    if kind == "matrix":
-        rows = ", ".join(
-            "[ " + ", ".join(format_terms(e) for e in row) + " ]" for row in obj
-        )
-        return f"matrix {name} = [ {rows} ]"
-    if kind == "vector":
-        return f"vector {name} = [ " + ", ".join(format_terms(e) for e in obj) + " ]"
-    if kind == "nesting":
-        return f"nesting {name} = " + " ".join(str(s) for s in obj.sigma)
-    if kind == "ideal":
-        gens = obj.gens or [Polynomial.zero(obj.ring)]
-        return f"ideal {name} = ( " + ", ".join(format_terms(g) for g in gens) + " )"
-    if kind == "module":
-        gens = obj.gens or [[Polynomial.zero(obj.ring)] * obj.rank]
-        body = ", ".join(
-            "( " + ", ".join(format_terms(p) for p in vec) + " )" for vec in gens
-        )
-        return f"module {name} = {{ {body} }}"
-    if kind == "morphism":
-        phi = obj
-        parts = [
-            f"{phi.source.names[i]} -> {format_terms(phi.images[i])}"
-            for i in range(phi.source.nvars)
-        ]
-        text = f"morphism {name} : " + " ; ".join(parts)
-        withs = []
-        if "I" in decl.meta:
-            withs.append(f"I={decl.meta['I']}")
-        if "J" in decl.meta:
-            withs.append(f"J={decl.meta['J']}")
-        if withs:
-            text += " with " + ", ".join(withs)
-        return text
-    raise TruncasError(f"cannot print a {kind} declaration")

@@ -2,13 +2,22 @@
 
 Everything here is deliberately written from scratch against the textbook
 definitions (dense matrices, naive convolution, explicit recurrences), so
-that agreement with the package is evidence and not circularity.
+that agreement with the package is evidence and not circularity.  The last
+section holds test helpers built on the package's own engines: span
+equalities of ideals and modules, a solution check and a series re-parser.
 """
 
+import re
 from fractions import Fraction
 
+from truncas.errors import ProblemSyntaxError
+from truncas.groebner import ModuleOrder, buchberger, module_buchberger, vec_to_elem
+from truncas.modules import module_contains
 from truncas.morphisms import _combined_ring, _graph_generators
+from truncas.nested import residual
+from truncas.orders import GREVLEX
 from truncas.series import Polynomial, TruncatedSeries, iter_exponents, total_degree
+from truncas.textio import parse_poly_text
 
 
 def naive_convolution(f_terms, g_terms, below):
@@ -166,6 +175,34 @@ def per_order_preimage(phi, b, c):
         return None
     x_of = {r: e[:n] for e, r in rank_of.items()}
     return TruncatedSeries(phi.source, {x_of[col]: v for col, v in nf.items()}, c)
+
+
+def kernel_certificate(phi, f, cprime):
+    """Multipliers (h_k, k_i) witnessing a candidate, or None.
+
+    Returns series over the combined ring with known order cprime such that
+    f - sum q_k h_k - sum (x_i - phi_i) k_i has no term below degree cprime.
+    The multipliers are the tracked combination of truncated multiples that
+    writes f.
+    """
+    big = _combined_ring(phi)
+    n = phi.source.nvars
+    gens = _graph_generators(phi, big, order=cprime)
+    rank_of = {e: i for i, e in enumerate(iter_exponents(big.nvars, cprime))}
+    red = FieldRowReducer(phi.field, track_combinations=True)
+    row_monomials = []  # per row: (generator index, multiplier monomial)
+    for row in textbook_truncated_multiple_rows(gens, cprime, rank_of, row_monomials):
+        red.add(row)
+    target = {rank_of[e + (0,) * (big.nvars - n)]: coeff for e, coeff in f.terms.items()}
+    combo = red.express(target)
+    if combo is None:
+        return None
+    multipliers = [dict() for _ in gens]
+    for idx, coeff in combo.items():
+        gi, m = row_monomials[idx]
+        cur = multipliers[gi].get(m)
+        multipliers[gi][m] = coeff if cur is None else cur + coeff
+    return [TruncatedSeries(big, t, cprime) for t in multipliers]
 
 
 def geometric_series(order):
@@ -605,3 +642,50 @@ def per_beta_chevalley_truncated(M, p, c, D):
         if all(rhs.member(row) for row in lhs):
             return beta
     raise AssertionError("no truncated shift found below the working order")
+
+
+# ---------------------------------------------------------------------------
+# test helpers on the package's engines
+
+
+def ideals_equal(a, b):
+    """Whether two ideals are equal: each Groebner basis holds the other's generators."""
+    gb_a = buchberger(a.gens, GREVLEX)
+    gb_b = buchberger(b.gens, GREVLEX)
+    return all(gb_a.contains(g) for g in b.gens) and all(gb_b.contains(g) for g in a.gens)
+
+
+def modules_equal(a, b):
+    """Whether two submodules of one free module are equal, by Groebner membership."""
+    if a.ring != b.ring or a.rank != b.rank:
+        return False
+    order = ModuleOrder()
+    gb_a = module_buchberger([vec_to_elem(v) for v in a.gens], order)
+    gb_b = module_buchberger([vec_to_elem(v) for v in b.gens], order)
+    return all(module_contains(gb_a, order, vec_to_elem(v)) for v in b.gens) and all(
+        module_contains(gb_b, order, vec_to_elem(v)) for v in a.gens
+    )
+
+
+def is_solution(sys, vec):
+    """Whether vec respects the nesting and solves the system below degree c."""
+    for i in range(sys.m):
+        if not vec[i].nested_support_ok(sys.profile.sigma[i]):
+            return False
+    return all(
+        all(total_degree(e) >= sys.c for e in res.terms) for res in residual(sys, vec)
+    )
+
+
+_O_MARKER = re.compile(r"^(.*?)(?:\s*\+\s*)?O\(deg (\d+)\)\s*$")
+
+
+def parse_series_text(text, ring, env=None):
+    """Re-parse a canonical series print: the expression grammar plus ``+ O(deg c)``."""
+    m = _O_MARKER.match(text.strip())
+    if m is None:
+        raise ProblemSyntaxError("series text must end with an O(deg c) marker")
+    body, order = m.group(1).strip(), int(m.group(2))
+    if not body:
+        return TruncatedSeries.zero(ring, order)
+    return parse_poly_text(body, ring, env).as_series(order)

@@ -25,7 +25,6 @@ from truncas.modules import (
     PolyModule,
     chevalley_beta,
     module_intersect_zero_block,
-    modules_equal,
     nagata_route_zero_block,
 )
 from truncas.morphisms import (
@@ -39,7 +38,6 @@ from truncas.nested import (
     NestedProfile,
     division_working_order,
     homogenize,
-    is_solution,
     recover_from_homogeneous,
     solve_nested,
     weierstrass_divide,
@@ -53,7 +51,7 @@ from truncas.series import (
     total_degree,
 )
 
-from oracles import DenseNestedOracle, residual_free
+from oracles import DenseNestedOracle, is_solution, modules_equal, residual_free
 from test_cli import golden_cases, run_cli, GOLDEN_DIR
 
 import os

@@ -8,7 +8,10 @@ import pytest
 
 from truncas.cli import TASKS, main
 from truncas.errors import ProblemSyntaxError
-from truncas.textio import parse_problem, parse_series_text, print_declaration
+from truncas.series import Polynomial, format_terms
+from truncas.textio import parse_problem
+
+from oracles import parse_series_text
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 
@@ -237,6 +240,45 @@ module M = { (x1, 1), (0, x1) }
 morphism phi : x1 -> y1 ; x2 -> y1*y2
 task order f
 """
+
+
+def print_declaration(decl):
+    """One declaration statement in canonical text, for the round-trip test."""
+    kind, name, obj = decl.kind, decl.name, decl.obj
+    if kind == "series":
+        return f"series {name} = {format_terms(obj)}"
+    if kind == "hensel":
+        return f"hensel {name} : {format_terms(obj.poly)} @ {obj.seed}"
+    if kind == "matrix":
+        rows = ", ".join(
+            "[ " + ", ".join(format_terms(e) for e in row) + " ]" for row in obj
+        )
+        return f"matrix {name} = [ {rows} ]"
+    if kind == "vector":
+        return f"vector {name} = [ " + ", ".join(format_terms(e) for e in obj) + " ]"
+    if kind == "nesting":
+        return f"nesting {name} = " + " ".join(str(s) for s in obj.sigma)
+    if kind == "ideal":
+        gens = obj.gens or [Polynomial.zero(obj.ring)]
+        return f"ideal {name} = ( " + ", ".join(format_terms(g) for g in gens) + " )"
+    if kind == "module":
+        gens = obj.gens or [[Polynomial.zero(obj.ring)] * obj.rank]
+        body = ", ".join(
+            "( " + ", ".join(format_terms(p) for p in vec) + " )" for vec in gens
+        )
+        return f"module {name} = {{ {body} }}"
+    if kind == "morphism":
+        phi = obj
+        parts = [
+            f"{phi.source.names[i]} -> {format_terms(phi.images[i])}"
+            for i in range(phi.source.nvars)
+        ]
+        text = f"morphism {name} : " + " ; ".join(parts)
+        withs = [f"{key}={decl.meta[key]}" for key in ("I", "J") if key in decl.meta]
+        if withs:
+            text += " with " + ", ".join(withs)
+        return text
+    raise ValueError(f"cannot print a {kind} declaration")
 
 
 def test_declaration_print_roundtrip():

@@ -9,12 +9,11 @@ from hypothesis import strategies as st
 
 from truncas.errors import TruncasError
 from truncas.fields import QQ, PrimeField
-from truncas.groebner import PolyIdeal, eliminate_ideal, ideals_equal, mod_leading
+from truncas.groebner import PolyIdeal, eliminate_ideal, mod_leading
 from truncas.modules import (
     ModuleOrder,
     PolyModule,
     chevalley_beta,
-    modules_equal,
     module_buchberger,
     module_contains,
     module_intersect_zero_block,
@@ -26,7 +25,7 @@ from truncas.modules import (
 )
 from truncas.series import Polynomial, Ring
 
-from oracles import per_beta_chevalley_truncated
+from oracles import ideals_equal, modules_equal, per_beta_chevalley_truncated
 
 RX = Ring(QQ, ("x1",))
 R2 = Ring(QQ, ("x1", "x2"))

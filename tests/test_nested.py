@@ -22,7 +22,6 @@ from truncas.nested import (
     division_working_order,
     homogenize,
     implicit_linear,
-    is_solution,
     recover_from_homogeneous,
     regularity_order,
     residual,
@@ -38,7 +37,7 @@ from truncas.series import (
     total_degree,
 )
 
-from oracles import DenseNestedOracle, residual_free
+from oracles import DenseNestedOracle, is_solution, residual_free
 
 R2 = Ring(QQ, ("x1", "x2"))
 R3 = Ring(QQ, ("x1", "x2", "x3"))

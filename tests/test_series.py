@@ -28,11 +28,12 @@ from truncas.series import (
     total_degree,
     _packed_product,
 )
-from truncas.textio import parse_poly_text, parse_series_text
+from truncas.textio import parse_poly_text
 
 from oracles import (
     geometric_series,
     naive_convolution,
+    parse_series_text,
     recursive_exponents_of_degree,
     textbook_compose,
 )
