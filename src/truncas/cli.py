@@ -3,22 +3,20 @@
 Every task is one row of ``TASKS``: a handler and the kind of each of its
 arguments.  ``run`` checks the argument count against the row, reads each
 argument through ``_arg`` (an ``int`` is a block size, any other kind a
-declaration of that kind, and a morphism must map I into J), then calls the
-handler.  ``main`` checks ``--working-order`` once for every task: it must
-be positive and at least the precision.
+declaration of that kind, and a morphism must be local and map I into J),
+then calls the handler.  ``main`` checks ``--working-order`` once for every
+task: it must be positive and at least the precision.
 
 Reports are plain text and byte-identical across runs for identical inputs;
 timing is printed only when requested so golden comparisons stay exact.
 Exit codes: 0 for a mathematical answer (including UNSOLVABLE and NONE),
-1 for input errors, 2 for internal failures.
+1 for input and usage errors, 2 for internal failures.
 """
 
 from __future__ import annotations
 
-import argparse
 import sys
 import time
-from typing import NamedTuple
 
 from .errors import TruncasError
 from .groebner import (
@@ -86,11 +84,12 @@ class Report:
         return "\n".join(self.lines) + "\n"
 
 
-class _Context(NamedTuple):
-    c: int  # the precision
-    working_order: int  # --working-order, or None
-    mode: str  # --mode, or None
-    names: list  # the argument tokens as written
+class _Context:
+    __slots__ = ("c", "working_order", "mode", "names")
+
+    def __init__(self, c, working_order, mode, names):
+        # the precision, --working-order or None, --mode or None, the argument tokens as written
+        self.c, self.working_order, self.mode, self.names = c, working_order, mode, names
 
 
 def _schedule(ctx: _Context):
@@ -278,6 +277,8 @@ def _arg(problem: ProblemFile, verb: str, token: str, kind: str):
                 f"task {verb} expects an integer block size, got {token!r}"
             ) from None
     obj = problem.obj(token, {kind})
+    if kind == "morphism" and not obj.is_local():
+        raise TruncasError(f"morphism {token!r} is not local: an image has a constant term")
     if kind == "morphism" and not obj.well_defined():
         raise TruncasError(f"morphism {token!r} does not map I into J")
     return obj
@@ -296,29 +297,59 @@ def run(problem: ProblemFile, working_order=None, mode=None) -> Report:
     return rep
 
 
+USAGE = """\
+usage: truncas [-h] [--order N] [--working-order N] [--mode exact|truncated] [--timing] problem
+  problem is a problem file, or - for stdin; --order N overrides its precision;
+  --working-order N is the comparators' top order; --mode sets chevalley's mode;
+  --timing appends a timing line to the report
+"""
+
+
+def _options(argv) -> dict:
+    """The problem path and the flags given, by name; TruncasError on misuse.
+
+    Read by hand: importing argparse and building its parser on every call
+    cost more than reading one path and four flags.
+    """
+    opts, args = {}, iter(argv)
+    for arg in args:
+        flag, eq, value = arg.partition("=")
+        if arg == "--timing":
+            opts[arg] = True
+        elif flag in ("--order", "--working-order", "--mode"):
+            value = value if eq else next(args, "")
+            if flag == "--mode" and value not in ("exact", "truncated"):
+                raise TruncasError(f"--mode expects exact or truncated, got {value!r}")
+            try:
+                opts[flag] = value if flag == "--mode" else int(value)
+            except ValueError:
+                raise TruncasError(f"{flag} expects an integer, got {value!r}") from None
+        elif "problem" in opts or (arg.startswith("-") and arg != "-"):
+            raise TruncasError(f"unexpected argument {arg!r}")
+        else:
+            opts["problem"] = arg
+    if "problem" not in opts:
+        raise TruncasError("a problem file, or - for stdin, is required")
+    return opts
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="truncas",
-        description="exact truncated power series toolkit",
-    )
-    parser.add_argument("problem", help="problem file, or - for stdin")
-    parser.add_argument("--order", type=int, default=None, help="override precision")
-    parser.add_argument(
-        "--working-order", type=int, default=None, help="working order for comparators"
-    )
-    parser.add_argument(
-        "--mode", choices=["exact", "truncated"], default=None, help="chevalley mode"
-    )
-    parser.add_argument(
-        "--timing", action="store_true", help="append a timing line to the report"
-    )
-    opts = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    if "-h" in argv or "--help" in argv:
+        sys.stdout.write(USAGE)
+        return 0
+    try:
+        opts = _options(argv)
+    except TruncasError as exc:
+        sys.stderr.write(f"error: {exc}\n{USAGE}")
+        return 1
+    order, working_order = opts.get("--order"), opts.get("--working-order")
 
     try:
-        if opts.problem == "-":
+        if opts["problem"] == "-":
             text = sys.stdin.read()
         else:
-            with open(opts.problem, "r", encoding="utf-8") as fh:
+            with open(opts["problem"], "r", encoding="utf-8") as fh:
                 text = fh.read()
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -327,16 +358,16 @@ def main(argv=None) -> int:
     started = time.perf_counter()
     try:
         problem = parse_problem(text)
-        if opts.order is not None:
-            if opts.order < 1:
+        if order is not None:
+            if order < 1:
                 raise TruncasError("order must be positive")
-            problem.precision = opts.order
-        if opts.working_order is not None:
-            if opts.working_order < 1:
+            problem.precision = order
+        if working_order is not None:
+            if working_order < 1:
                 raise TruncasError("working order must be positive")
-            if opts.working_order < problem.precision:
+            if working_order < problem.precision:
                 raise TruncasError("working order must be at least the precision")
-        report = run(problem, working_order=opts.working_order, mode=opts.mode)
+        report = run(problem, working_order=working_order, mode=opts.get("--mode"))
     except TruncasError as exc:  # ProblemSyntaxError included
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -345,7 +376,7 @@ def main(argv=None) -> int:
         return 2
 
     sys.stdout.write(report.text())
-    if opts.timing:
+    if "--timing" in opts:
         elapsed_ms = (time.perf_counter() - started) * 1000.0
         sys.stdout.write(f"# timing: {elapsed_ms:.1f} ms\n")
     return 0

@@ -31,7 +31,6 @@ against the exact elimination ideal is the point of keeping two routes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from heapq import heappop, heappush
 from operator import add, le
 
@@ -40,6 +39,7 @@ from .linalg import span_reducer, spans_equal
 from .orders import GREVLEX, BlockOrder
 from .series import (
     Polynomial,
+    Record,
     Ring,
     TruncatedSeries,
     canonical_exp_key,
@@ -60,18 +60,17 @@ def poly_sort_key(p: Polynomial):
     )
 
 
-@dataclass
-class PolyIdeal:
+class PolyIdeal(Record):
     """A polynomial ideal given by generators in canonical order."""
 
-    ring: Ring
-    gens: list
+    __slots__ = ("ring", "gens")
 
-    def __post_init__(self):
-        cleaned = [g for g in self.gens if not g.is_zero()]
+    def __init__(self, ring: Ring, gens: list):
+        cleaned = [g for g in gens if not g.is_zero()]
         for g in cleaned:
-            if g.ring != self.ring:
+            if g.ring != ring:
                 raise TruncasError("ideal generators live in different rings")
+        self.ring = ring
         self.gens = sorted(cleaned, key=poly_sort_key)
 
     def is_zero(self) -> bool:

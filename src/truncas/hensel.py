@@ -8,31 +8,25 @@ precision doubling reaches any target order in logarithmically many steps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .errors import InvalidCode, NotSimpleRoot, TruncasError
-from .series import Polynomial, Ring, TruncatedSeries, substitute
+from .series import Polynomial, Record, Ring, TruncatedSeries, substitute
 
 
-@dataclass
-class HenselCode:
+class HenselCode(Record):
     """Defining polynomial, seed, and a monotonically extended expansion cache.
 
     ``poly`` lives over ``ring`` extended by one distinguished unknown,
     which is the final variable of ``poly.ring``.
     """
 
-    ring: Ring
-    poly: Polynomial
-    seed: object
-    _cache: TruncatedSeries = field(default=None, repr=False)
+    __slots__ = ("ring", "poly", "seed", "_cache")
 
-    def __post_init__(self):
-        if self.poly.ring.nvars != self.ring.nvars + 1:
+    def __init__(self, ring: Ring, poly: Polynomial, seed, _cache: TruncatedSeries = None):
+        if poly.ring.nvars != ring.nvars + 1:
             raise TruncasError("defining polynomial must add exactly one unknown")
-        if self.poly.ring.names[: self.ring.nvars] != self.ring.names:
+        if poly.ring.names[: ring.nvars] != ring.names:
             raise TruncasError("defining polynomial must extend the code's ring")
-        self.seed = self.ring.field(self.seed)
+        self.ring, self.poly, self.seed, self._cache = ring, poly, ring.field(seed), _cache
 
     @property
     def unknown_index(self) -> int:

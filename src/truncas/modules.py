@@ -35,8 +35,6 @@ of a row that fails this test.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import TruncasError
 from .groebner import (
     ModuleOrder,
@@ -51,27 +49,25 @@ from .groebner import (
 )
 from .linalg import span_reducer
 from .orders import BlockOrder
-from .series import Polynomial, Ring, exponents_of_degree
+from .series import Polynomial, Record, Ring, exponents_of_degree
 
 
-@dataclass
-class PolyModule:
+class PolyModule(Record):
     """A submodule of ring^rank given by generator vectors of polynomials."""
 
-    ring: Ring
-    rank: int
-    gens: list
+    __slots__ = ("ring", "rank", "gens")
 
-    def __post_init__(self):
+    def __init__(self, ring: Ring, rank: int, gens: list):
         cleaned = []
-        for vec in self.gens:
-            if len(vec) != self.rank:
+        for vec in gens:
+            if len(vec) != rank:
                 raise TruncasError("generator vector length disagrees with the rank")
             for p in vec:
-                if p.ring != self.ring:
+                if p.ring != ring:
                     raise TruncasError("module generators live in different rings")
             if any(not p.is_zero() for p in vec):
                 cleaned.append(list(vec))
+        self.ring, self.rank = ring, rank
         self.gens = sorted(cleaned, key=lambda v: [poly_sort_key(p) for p in v])
 
     def is_zero(self) -> bool:
@@ -251,12 +247,12 @@ def nagata_route_zero_block(M: PolyModule, p: int) -> PolyModule:
 # vanishing-order shift (exact and truncated)
 
 
-@dataclass
-class ChevalleyResult:
-    c: int
-    beta: int
-    mode: str  # "exact" or "truncated"
-    working_order: int = None
+class ChevalleyResult(Record):
+    __slots__ = ("c", "beta", "mode", "working_order")
+
+    def __init__(self, c: int, beta: int, mode: str, working_order: int = None):
+        # mode is "exact" or "truncated"
+        self.c, self.beta, self.mode, self.working_order = c, beta, mode, working_order
 
 
 def _front_power_module(ring: Ring, p: int, t: int, beta: int) -> PolyModule:

@@ -17,11 +17,15 @@ delivers canonical preimage representatives.
 A schedule of working orders shares one column ranking, built at its largest
 order (``subspace_column_ranks`` says why that is exact), so each working
 order only reduces the multiples below it.
+
+The truncated routes need a map of local rings: when an image phi_i has a
+nonzero constant term, x_i - phi_i is a unit modulo (x,y)^cprime and the
+system spans everything, so they refuse such a morphism.  The exact kernel
+does not truncate and accepts it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from operator import mul
 
 from .errors import (
@@ -41,6 +45,7 @@ from .linalg import span_reducer
 from .orders import GREVLEX, BlockOrder
 from .series import (
     Polynomial,
+    Record,
     Ring,
     TruncatedSeries,
     iter_exponents,
@@ -48,28 +53,24 @@ from .series import (
 )
 
 
-@dataclass
-class AlgebraMorphism:
+class AlgebraMorphism(Record):
     """Variable images phi_i over the target, with optional ideals I and J."""
 
-    source: Ring
-    target: Ring
-    images: list
-    I: PolyIdeal = None
-    J: PolyIdeal = None
+    __slots__ = ("source", "target", "images", "I", "J")
 
-    def __post_init__(self):
-        if len(self.images) != self.source.nvars:
+    def __init__(self, source: Ring, target: Ring, images: list, I=None, J=None):
+        if len(images) != source.nvars:
             raise TruncasError("one image per source variable is required")
-        for g in self.images:
-            if g.ring != self.target:
+        for g in images:
+            if g.ring != target:
                 raise TruncasError("images must live in the target ring")
-        if self.source.field != self.target.field:
+        if source.field != target.field:
             raise TruncasError("source and target share one field")
-        if self.I is not None and self.I.ring != self.source:
+        if I is not None and I.ring != source:
             raise TruncasError("I must be an ideal of the source ring")
-        if self.J is not None and self.J.ring != self.target:
+        if J is not None and J.ring != target:
             raise TruncasError("J must be an ideal of the target ring")
+        self.source, self.target, self.images, self.I, self.J = source, target, images, I, J
 
     @property
     def field(self):
@@ -77,6 +78,10 @@ class AlgebraMorphism:
 
     def polynomial_images(self) -> bool:
         return all(isinstance(g, Polynomial) for g in self.images)
+
+    def is_local(self) -> bool:
+        """True iff every image vanishes at the origin: phi maps (x) into (y)."""
+        return not any(g.constant_term() for g in self.images)
 
     def images_known_to(self, order: int) -> bool:
         return all(
@@ -159,6 +164,11 @@ def _pad_exp(e, n):
     return (0,) * n + tuple(e)
 
 
+def _require_local(phi: AlgebraMorphism):
+    if not phi.is_local():
+        raise TruncasError("truncated kernels and preimages need images vanishing at the origin")
+
+
 # ---------------------------------------------------------------------------
 # exact kernel
 
@@ -183,14 +193,14 @@ def kernel_exact(phi: AlgebraMorphism) -> PolyIdeal:
 # truncated kernel candidates
 
 
-@dataclass
-class KernelReport:
-    c: int
-    cprimes: list
-    candidate_basis: list  # canonical representatives modulo truncations of I
-    stabilized: bool
-    exact_kernel: PolyIdeal = None
-    dimensions: list = field(default_factory=list)
+class KernelReport(Record):
+    __slots__ = ("c", "cprimes", "candidate_basis", "stabilized", "exact_kernel", "dimensions")
+
+    def __init__(self, c, cprimes, candidate_basis, stabilized, exact_kernel=None, dimensions=None):
+        # candidate_basis: canonical representatives modulo truncations of I
+        self.c, self.cprimes, self.candidate_basis = c, cprimes, candidate_basis
+        self.stabilized, self.exact_kernel = stabilized, exact_kernel
+        self.dimensions = [] if dimensions is None else dimensions
 
 
 def truncated_completion_kernel(
@@ -207,6 +217,7 @@ def truncated_completion_kernel(
     cprimes = sorted(set(cprimes))
     if cprimes[0] < c:
         raise TruncasError("working orders must be at least the target order")
+    _require_local(phi)
     if not phi.images_known_to(cprimes[-1]):
         raise PrecisionTooLow("images are not known to the largest working order")
 
@@ -240,14 +251,12 @@ def truncated_completion_kernel(
 # strong injectivity comparison and preimages
 
 
-@dataclass
-class InjectivityReport:
-    c: int
-    cprimes: list
-    stabilized: bool
-    equal: bool
-    exact_kernel: PolyIdeal
-    candidate_basis: list
+class InjectivityReport(Record):
+    __slots__ = ("c", "cprimes", "stabilized", "equal", "exact_kernel", "candidate_basis")
+
+    def __init__(self, c, cprimes, stabilized, equal, exact_kernel, candidate_basis):
+        self.c, self.cprimes, self.stabilized, self.equal = c, cprimes, stabilized, equal
+        self.exact_kernel, self.candidate_basis = exact_kernel, candidate_basis
 
 
 def check_strong_injectivity(
@@ -283,6 +292,7 @@ def preimage(phi: AlgebraMorphism, b, c: int):
         raise PrecisionTooLow("preimage target not known to the working order")
     if b.ring != phi.target:
         raise TruncasError("preimage target must live in the target ring")
+    _require_local(phi)
     big = _combined_ring(phi)
     n = phi.source.nvars
     # every source monomial below c is kept: f is read off the x-only columns

@@ -17,9 +17,6 @@ of a transverse series is the order-one case of the division.
 
 from __future__ import annotations
 
-import random
-from dataclasses import dataclass
-
 from .errors import (
     NonUnit,
     NotRegular,
@@ -30,7 +27,9 @@ from .errors import (
 )
 from .linalg import RowReducer
 from .series import (
+    FrozenRecord,
     Polynomial,
+    Record,
     Ring,
     TruncatedSeries,
     exp_add,
@@ -40,15 +39,15 @@ from .series import (
 )
 
 
-@dataclass(frozen=True)
-class NestedProfile:
+class NestedProfile(FrozenRecord):
     """Per-unknown variable bounds sigma, with the permutation sorting them."""
 
-    sigma: tuple
+    __slots__ = ("sigma",)
 
-    def __post_init__(self):
-        if any(s < 0 for s in self.sigma):
+    def __init__(self, sigma: tuple):
+        if any(s < 0 for s in sigma):
             raise TruncasError("sigma entries must be nonnegative")
+        object.__setattr__(self, "sigma", sigma)
 
     @property
     def m(self) -> int:
@@ -110,15 +109,15 @@ class NestedLinearSystem:
         return len(self.T)
 
 
-@dataclass
-class SolutionSet:
+class SolutionSet(Record):
     """Truncated solution set: a particular solution plus a nullspace basis."""
 
-    status: str  # "solvable" or "unsolvable"
-    obstruction_degree: int
-    particular: list
-    nullspace_basis: list
-    validity_order: int
+    __slots__ = ("status", "obstruction_degree", "particular", "nullspace_basis", "validity_order")
+
+    def __init__(self, status, obstruction_degree, particular, nullspace_basis, validity_order):
+        self.status = status  # "solvable" or "unsolvable"
+        self.obstruction_degree, self.validity_order = obstruction_degree, validity_order
+        self.particular, self.nullspace_basis = particular, nullspace_basis
 
     @property
     def solvable(self) -> bool:
@@ -358,6 +357,8 @@ def weierstrass_divide(
             cols.append(("a", k, alpha))
     order = list(range(len(cols)))
     if column_shuffle_seed is not None:
+        import random  # only pivoting-invariance checks shuffle; keep it off the CLI's import
+
         random.Random(column_shuffle_seed).shuffle(order)
     rank_of = {cols[idx]: rank for rank, idx in enumerate(order)}
 

@@ -57,7 +57,6 @@ in 1-3 variables, and won only over Q, where no hot path inverts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 from itertools import chain
 from operator import add, le, mul, sub
@@ -120,17 +119,71 @@ def canonical_exp_key(exp: Exponent):
 # rings
 
 
-@dataclass(frozen=True)
-class Ring:
+class Record:
+    """Field-wise ``==`` and ``repr`` over ``__slots__``; ``_`` slots are compared, not shown.
+
+    The package's value classes use it in place of dataclasses, whose import
+    (inspect, ast, dis) was the largest part of the CLI's start-up.
+    """
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self):
+        shown = (f"{n}={getattr(self, n)!r}" for n in self.__slots__ if n[0] != "_")
+        return f"{type(self).__name__}({', '.join(shown)})"
+
+
+class FrozenRecord(Record):
+    """A hashable ``Record``; ``__init__`` sets each field once, by ``object.__setattr__``."""
+
+    __slots__ = ()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+
+class Ring(FrozenRecord):
     """A variable block descriptor over an exact field.
 
     ``nx`` marks the size of the leading block when the ring was declared
     with two blocks (x; y); it is ``None`` for single-block rings.
     """
 
-    field: object
-    names: tuple
-    nx: int = None
+    __slots__ = ("field", "names", "nx", "_key")
+
+    def __init__(self, field, names, nx=None):
+        object.__setattr__(self, "field", field)
+        object.__setattr__(self, "names", names)
+        object.__setattr__(self, "nx", nx)
+        object.__setattr__(self, "_key", (field, names, nx))
+
+    # every binary op on series and polynomials compares rings, mostly a ring with
+    # itself; both operators are spelled out, so neither goes through the other
+    def __eq__(self, other):
+        if other.__class__ is not Ring:
+            return NotImplemented
+        return self is other or self._key == other._key
+
+    def __ne__(self, other):
+        if other.__class__ is not Ring:
+            return NotImplemented
+        return self is not other and self._key != other._key
+
+    def __hash__(self):
+        return hash(self._key)
 
     @property
     def nvars(self) -> int:

@@ -9,7 +9,6 @@ previously declared series.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import ProblemSyntaxError, TruncasError
@@ -19,7 +18,7 @@ from .hensel import HenselCode
 from .modules import PolyModule
 from .morphisms import AlgebraMorphism
 from .nested import NestedProfile
-from .series import Polynomial, Ring
+from .series import Polynomial, Record, Ring
 
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<int>\d+)|(?P<arrow>->)|"
@@ -27,12 +26,14 @@ _TOKEN_RE = re.compile(
 )
 
 
-@dataclass
-class Token:
-    kind: str  # name | int | arrow | sym | end
-    text: str
-    line: int
-    column: int
+class Token(Record):
+    __slots__ = ("kind", "text", "line", "column")
+
+    def __init__(self, kind: str, text: str, line: int, column: int):
+        self.kind = kind  # name | int | arrow | sym | end
+        self.text = text
+        self.line = line
+        self.column = column
 
 
 def tokenize(text: str, line: int) -> list:
@@ -170,21 +171,21 @@ def parse_poly_text(text: str, ring: Ring, env=None) -> Polynomial:
 # problem files
 
 
-@dataclass
-class Declaration:
-    kind: str
-    name: str
-    obj: object
-    meta: dict = field(default_factory=dict)
+class Declaration(Record):
+    __slots__ = ("kind", "name", "obj", "meta")
+
+    def __init__(self, kind: str, name: str, obj, meta: dict = None):
+        self.kind, self.name, self.obj = kind, name, obj
+        self.meta = {} if meta is None else meta
 
 
-@dataclass
-class ProblemFile:
-    field_obj: object
-    ring: Ring
-    precision: int
-    declarations: dict  # name -> Declaration, insertion ordered
-    task: tuple  # (verb, [args])
+class ProblemFile(Record):
+    __slots__ = ("field_obj", "ring", "precision", "declarations", "task")
+
+    def __init__(self, field_obj, ring: Ring, precision: int, declarations: dict, task: tuple):
+        # declarations: name -> Declaration, insertion ordered; task: (verb, [args])
+        self.field_obj, self.ring, self.precision = field_obj, ring, precision
+        self.declarations, self.task = declarations, task
 
     def obj(self, name: str, kinds=None):
         decl = self.declarations.get(name)

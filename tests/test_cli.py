@@ -2,11 +2,12 @@
 
 import io
 import os
+import subprocess
 import sys
 
 import pytest
 
-from truncas.cli import TASKS, main
+from truncas.cli import TASKS, USAGE, main
 from truncas.errors import ProblemSyntaxError
 from truncas.series import Polynomial, format_terms
 from truncas.textio import parse_problem
@@ -216,6 +217,69 @@ def test_internal_error_exit_two(monkeypatch):
     code, _, err = run_cli(["-"], stdin_text=text)
     assert code == 2
     assert err.startswith("internal error:")
+
+
+ORDER_BASIC = os.path.join(GOLDEN_DIR, "order_basic.problem")
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        ([ORDER_BASIC, "--verbose"], "unexpected argument '--verbose'"),
+        ([ORDER_BASIC, "--order", "x"], "--order expects an integer, got 'x'"),
+        ([ORDER_BASIC, "--working-order=1.5"], "--working-order expects an integer, got '1.5'"),
+        ([ORDER_BASIC, "--order"], "--order expects an integer, got ''"),
+        ([ORDER_BASIC, "--mode", "foo"], "--mode expects exact or truncated, got 'foo'"),
+        ([ORDER_BASIC, "--timing=yes"], "unexpected argument '--timing=yes'"),
+        ([ORDER_BASIC, ORDER_BASIC], f"unexpected argument {ORDER_BASIC!r}"),
+        (["--order", "3"], "a problem file, or - for stdin, is required"),
+        ([], "a problem file, or - for stdin, is required"),
+    ],
+)
+def test_usage_errors_exit_one(argv, message):
+    code, out, err = run_cli(argv)
+    assert (code, out) == (1, "")
+    assert err == f"error: {message}\n{USAGE}"
+
+
+@pytest.mark.parametrize("flag", ["-h", "--help"])
+def test_help_prints_usage_and_exits_zero(flag):
+    assert run_cli([ORDER_BASIC, flag]) == (0, USAGE, "")
+
+
+def test_flag_values_may_follow_an_equals_sign():
+    spaced = run_cli([ORDER_BASIC, "--order", "2"])
+    assert spaced[0] == 0
+    assert run_cli(["--order=2", ORDER_BASIC]) == spaced
+
+
+@pytest.mark.parametrize("task", ["kernel phi", "check-injective phi", "preimage phi b"])
+def test_non_local_morphism_exits_one(task):
+    # x1 -> 1 + yy is a unit near the origin, so every truncated graph system
+    # spans everything; such a morphism is refused before any task runs
+    text = (
+        "field Q\nring x: x1 x2 ; y: yy\nprecision 3\nseries b = yy^2\n"
+        f"morphism phi : x1 -> 1 + yy ; x2 -> yy^2\ntask {task}\n"
+    )
+    code, out, err = run_cli(["-", "--working-order", "7"], stdin_text=text)
+    assert (code, out) == (1, "")
+    assert err == "error: morphism 'phi' is not local: an image has a constant term\n"
+
+
+def test_cli_import_leaves_heavy_stdlib_modules_unloaded():
+    # -S keeps site-packages .pth hooks from preloading modules before the diff
+    src = os.path.join(os.path.dirname(GOLDEN_DIR), os.pardir, "src")
+    code = (
+        f"import sys; sys.path.insert(0, {os.path.abspath(src)!r}); before = set(sys.modules)\n"
+        "import truncas.cli\nprint(' '.join(sorted(set(sys.modules) - before)))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-I", "-S", "-c", code], capture_output=True, text=True, check=True
+    ).stdout
+    added = set(out.split())
+    assert "truncas.cli" in added
+    heavy = {"dataclasses", "inspect", "ast", "dis", "argparse", "typing", "random"}
+    assert added & heavy == set()
 
 
 def test_timing_flag_appends_comment():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from truncas.errors import NonPolynomialImages, PrecisionTooLow
+from truncas.errors import NonPolynomialImages, PrecisionTooLow, TruncasError
 from truncas.fields import QQ, PrimeField
 from truncas.groebner import PolyIdeal, ideal_low_degree_space
 from truncas.linalg import spans_equal
@@ -288,6 +288,36 @@ def test_constant_candidate_flags_unit_ideal():
 
     red = span_reducer(rows, QQ)
     assert red.member({rank[(0,)]: Fraction(1)})
+
+
+def non_local_morphism():
+    # x1 -> 1 + yy does not vanish at the origin: not a map of local rings
+    one, yy = Polynomial.const(RY1, 1), Y
+    return AlgebraMorphism(RX2, RY1, [one + yy, yy * yy])
+
+
+@pytest.mark.parametrize(
+    "route",
+    [
+        lambda phi: truncated_completion_kernel(phi, 3, [3, 5, 7]),
+        lambda phi: check_strong_injectivity(phi, 3, [3, 5, 7]),
+        lambda phi: preimage(phi, Y, 3),
+    ],
+    ids=["kernel", "injectivity", "preimage"],
+)
+def test_truncated_routes_refuse_non_local_images(route):
+    phi = non_local_morphism()
+    assert not phi.is_local()
+    with pytest.raises(TruncasError, match="vanishing at the origin"):
+        route(phi)
+
+
+def test_exact_kernel_accepts_non_local_images():
+    # ker(x1 -> 1 + y, x2 -> y^2) is generated by x2 - (x1 - 1)^2
+    kernel = kernel_exact(non_local_morphism())
+    want = Polynomial(RX2, {(0, 0): Fraction(-1), (1, 0): Fraction(2), (2, 0): Fraction(-1),
+                            (0, 1): Fraction(1)})
+    assert ideals_equal(kernel, PolyIdeal(RX2, [want]))
 
 
 def test_candidate_soundness_across_corpus():
